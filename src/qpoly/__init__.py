@@ -8,138 +8,18 @@ identities module checks the algebraic relations tying the families
 together, exactly.
 """
 
-from .core import (
-    DenominatorVanishes,
-    ExactScalar,
-    ParamPoly,
-    QPoly,
-    QRat,
-    eval_at_q1,
-    eval_numeric,
-    q_derivative,
-    q_number,
-    q_number_power_inverse,
-)
-from .families import (
-    FAMILIES,
-    classical_number,
-    family_value,
-    poly_bernoulli,
-    poly_cauchy1,
-    poly_cauchy1_double_sum,
-    poly_cauchy2,
-    poly_cauchy2_double_sum,
-)
-from .identities import (
-    IDENTITY_IDS,
-    IdentityReport,
-    check_inverse_relations,
-    check_kind_reciprocity,
-    check_mixed_expansions,
-    check_orthogonality,
-    reports_to_json_lines,
-    run_identity_sweep,
-)
-from .jackson import (
-    NonconvergedTruncation,
-    OracleConfig,
-    QuadResult,
-    jackson_integral_1d,
-    oracle_family,
-)
-from .series import (
-    NonInvertibleConstantTerm,
-    NonZeroConstantTerm,
-    TruncSeries,
-    egf_coefficient,
-    gf_poly_bernoulli,
-    gf_poly_cauchy1,
-    gf_poly_cauchy2,
-    gf_weighted_stirling,
-    series_compose,
-    series_exp,
-    series_inverse,
-    series_log1p,
-)
-from .stirling import (
-    WeightedStirling,
-    carlitz_expand,
-    stirling1,
-    stirling2,
-    substitute_weight,
-    weighted_stirling1,
-    weighted_stirling2,
-)
-from .textform import (
-    format_param_poly,
-    format_qpoly,
-    format_qrat,
-    latex_param_poly,
-    latex_qrat,
-    parse_param_poly,
-    parse_qpoly,
-    parse_qrat,
-)
+from . import core, families, identities, jackson, series, stirling, textform
+from .core import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .jackson import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .stirling import *  # noqa: F401,F403
+from .textform import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DenominatorVanishes",
-    "ExactScalar",
-    "FAMILIES",
-    "IDENTITY_IDS",
-    "IdentityReport",
-    "NonInvertibleConstantTerm",
-    "NonZeroConstantTerm",
-    "NonconvergedTruncation",
-    "OracleConfig",
-    "ParamPoly",
-    "QPoly",
-    "QRat",
-    "QuadResult",
-    "TruncSeries",
-    "WeightedStirling",
-    "carlitz_expand",
-    "check_inverse_relations",
-    "check_kind_reciprocity",
-    "check_mixed_expansions",
-    "check_orthogonality",
-    "classical_number",
-    "egf_coefficient",
-    "eval_at_q1",
-    "eval_numeric",
-    "family_value",
-    "format_param_poly",
-    "format_qpoly",
-    "format_qrat",
-    "gf_poly_bernoulli",
-    "gf_poly_cauchy1",
-    "gf_poly_cauchy2",
-    "gf_weighted_stirling",
-    "jackson_integral_1d",
-    "latex_param_poly",
-    "latex_qrat",
-    "oracle_family",
-    "parse_param_poly",
-    "parse_qpoly",
-    "parse_qrat",
-    "poly_bernoulli",
-    "poly_cauchy1",
-    "poly_cauchy1_double_sum",
-    "poly_cauchy2",
-    "poly_cauchy2_double_sum",
-    "q_derivative",
-    "q_number",
-    "q_number_power_inverse",
-    "reports_to_json_lines",
-    "run_identity_sweep",
-    "series_compose",
-    "series_exp",
-    "series_inverse",
-    "series_log1p",
-    "stirling1",
-    "stirling2",
-    "substitute_weight",
-    "weighted_stirling1",
-    "weighted_stirling2",
-]
+# each submodule's __all__ is the one list of what it exports
+__all__ = sorted(name for module in (core, families, identities, jackson,
+                                     series, stirling, textform)
+                 for name in module.__all__)

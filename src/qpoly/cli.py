@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -93,14 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rho", default=None,
-                       help="rho value; exact fraction with --at-q1, float with --q")
+                       help="rho value as a fraction or decimal, e.g. 1/2; "
+                            "rounded to a float with --q")
         p.add_argument("--z", default=None,
-                       help="z value; exact fraction with --at-q1, float with --q")
+                       help="z value as a fraction or decimal, e.g. 1/3; "
+                            "rounded to a float with --q")
         p.add_argument("--q", type=float, default=None,
                        help="numeric q in (0, 1); switches to float evaluation")
         p.add_argument("--at-q1", action="store_true",
                        help="exact q = 1 specialization")
-        p.add_argument("--config", default=None, help="config file path")
 
     t = sub.add_parser("table", help="reference rows n = 0..nmax")
     t.add_argument("family", choices=FAMILIES)
@@ -140,23 +140,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_config(args) -> dict:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     return dict(DEFAULT_CONFIG)
+
+
+def _exact_arg(text: str | None) -> Fraction | None:
+    """Parse an optional --rho/--z value as an exact fraction."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def _evaluate(value: ParamPoly, args) -> tuple[dict, object]:
     """Apply the evaluation flags; returns (vars, printable value)."""
     if args.at_q1 and args.q is not None:
         raise ValueError("--at-q1 and --q are mutually exclusive")
+    rho, z = _exact_arg(args.rho), _exact_arg(args.z)
     if args.q is not None:
-        rho = float(args.rho) if args.rho is not None else 1.0
-        z = float(args.z) if args.z is not None else 0.0
+        # Fraction -> float is correctly rounded, as float(text) is
+        rho = float(rho) if rho is not None else 1.0
+        z = float(z) if z is not None else 0.0
         num = eval_numeric(value, q=args.q, rho=rho, z=z, y=0.0)
         return {"q": args.q, "rho": rho, "z": z}, num
     if args.at_q1:
-        rho = Fraction(args.rho) if args.rho is not None else None
-        z = Fraction(args.z) if args.z is not None else None
         out = value.at_q1().substitute(rho=rho, z=z)
         vars_ = {"q": 1,
                  "rho": str(rho) if rho is not None else "symbolic",
@@ -192,11 +202,16 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
         out.write("\\end{tabular}\n")
 
 
-def _cmd_table(args, out) -> int:
-    if args.nmax < 0:
-        raise ValueError("--nmax must be nonnegative")
+def _cmd_values(args, out) -> int:
+    """table (rows n = 0..nmax) and value (the one row n)."""
+    if args.command == "table":
+        flag, last, ns = "--nmax", args.nmax, range(args.nmax + 1)
+    else:
+        flag, last, ns = "--n", args.n, (args.n,)
+    if last < 0:
+        raise ValueError("%s must be nonnegative" % flag)
     records = []
-    for n in range(args.nmax + 1):
+    for n in ns:
         value = family_value(args.family, n, args.k)
         vars_, printable = _evaluate(value, args)
         rec = _record(args.family, n, args.k, vars_, printable, "closed_form")
@@ -205,19 +220,6 @@ def _cmd_table(args, out) -> int:
                             else str(printable))
         records.append(rec)
     _emit_records(records, args.format, out)
-    return 0
-
-
-def _cmd_value(args, out) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
-    value = family_value(args.family, args.n, args.k)
-    vars_, printable = _evaluate(value, args)
-    rec = _record(args.family, args.n, args.k, vars_, printable, "closed_form")
-    if args.format == "latex":
-        rec["latex"] = (latex_param_poly(value) if vars_["q"] == "symbolic"
-                        else str(printable))
-    _emit_records([rec], args.format, out)
     return 0
 
 
@@ -329,10 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "value":
-            return _cmd_value(args, out)
+        if args.command in ("table", "value"):
+            return _cmd_values(args, out)
         if args.command == "verify":
             return _cmd_verify(args, out)
         return _cmd_oracle(args, out)

@@ -16,20 +16,17 @@ from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "DenominatorVanishes",
-    "ExactScalar",
     "ParamPoly",
     "QPoly",
     "QRat",
     "eval_at_q1",
     "eval_numeric",
-    "q_derivative",
     "q_number",
     "q_number_power_inverse",
 ]
 
 # Arbitrary-precision rational scalars. fractions.Fraction already keeps
 # gcd(|numerator|, denominator) = 1 with denominator >= 1.
-ExactScalar = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -43,6 +40,19 @@ def _to_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("expected an exact scalar, got %s" % type(value).__name__)
+
+
+def _power(base, e: int, one):
+    """base ** e for e >= 0 by binary square-and-multiply; one is the
+    multiplicative identity of base's ring."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +196,7 @@ class QPoly:
     def __pow__(self, exponent: int) -> "QPoly":
         if exponent < 0:
             raise ValueError("negative power of a QPoly; use QRat")
-        result = _QP_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, _QP_ONE)
 
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if not isinstance(other, QPoly):
@@ -622,15 +624,7 @@ class ParamPoly:
     def __pow__(self, exponent: int) -> "ParamPoly":
         if exponent < 0:
             raise ValueError("negative power of a ParamPoly")
-        result = ParamPoly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ParamPoly.const(1))
 
     def scale(self, coeff) -> "ParamPoly":
         c = _coerce_qrat(coeff)
@@ -676,14 +670,6 @@ class ParamPoly:
                 out[e] = _coerce_qrat(v)
         return ParamPoly._raw(out)
 
-    def map_coefficients(self, fn) -> "ParamPoly":
-        out: dict[tuple[int, int, int], QRat] = {}
-        for e, c in self.terms.items():
-            v = _coerce_qrat(fn(c))
-            if not v.is_zero():
-                out[e] = v
-        return ParamPoly._raw(out)
-
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], QRat]]:
         """Terms in ascending (e_rho, e_z, e_y) lexicographic order."""
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -709,18 +695,6 @@ def q_number_power_inverse(m: int, k: int) -> QRat:
     return QRat._raw(base ** (-k), _QP_ONE)
 
 
-def q_derivative(poly_in_x: Sequence[QPoly]) -> tuple[QPoly, ...]:
-    """Jackson q-derivative on polynomials in x with QPoly coefficients.
-
-    Sends x^m to [m]_q x^(m-1); the input is the coefficient sequence of a
-    polynomial in x, ascending.
-    """
-    out = [q_number(i) * c for i, c in enumerate(poly_in_x) if i > 0]
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
-
-
 def eval_at_q1(value: QRat) -> Fraction:
     """Exact substitution q = 1 into a canonical QRat."""
     return value.eval_at_q1()
@@ -730,8 +704,8 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
                  z: float | None = None, y: float | None = None) -> float:
     """Float evaluation of a QRat or ParamPoly at 0 < q < 1.
 
-    Variables actually present in the value must be supplied, and rho must
-    be nonzero wherever it appears.
+    Variables actually present in the value must be supplied. Any real
+    rho is allowed, zero included: the value is a polynomial in rho.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -743,8 +717,6 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
     for name, i in _EXPONENT_SLOTS.items():
         if value.degree_in(name) > 0 and supplied[i] is None:
             raise ValueError("value depends on %s; supply it" % name)
-    if value.degree_in("rho") > 0 and rho == 0:
-        raise ValueError("rho must be nonzero")
     total = 0.0
     for e, c in value.sorted_terms():
         term = c.evaluate(q)

@@ -49,47 +49,69 @@ def _check_args(n: int, k: int, slot: str) -> None:
         raise ValueError("slot must be 'z' or 'y'")
 
 
-@lru_cache(maxsize=None)
-def poly_bernoulli(n: int, k: int, slot: str = "z") -> ParamPoly:
-    """Weighted second-kind Stirling sum for the Bernoulli-type family."""
+def _stirling_sum(table, weight: int, times_factorial: bool,
+                  sign_by_m: bool, n: int, k: int, slot: str) -> ParamPoly:
+    """sum_m sign * table(n, m, weight * v/rho) [* m!] / [m+1]_q^k, with v
+    the slot variable and sign (-1)^(n-m) if sign_by_m, else (-1)^n.
+
+    Each family looks its table up by name when it is called, so a later
+    rebinding of that name (as perfbench's tracer does) is seen here too.
+    """
     _check_args(n, k, slot)
     total = ParamPoly.zero()
     for m in range(n + 1):
-        c = q_number_power_inverse(m, k) * Fraction(factorial(m))
-        if (n - m) % 2:
+        c = q_number_power_inverse(m, k)
+        if times_factorial:
+            c = c * Fraction(factorial(m))
+        if (n - m if sign_by_m else n) % 2:
             c = -c
-        term = substitute_weight(weighted_stirling2(n, m), 1, slot)
+        term = substitute_weight(table(n, m), weight, slot)
         total = total + term.scale(c)
     return total
+
+
+@lru_cache(maxsize=None)
+def poly_bernoulli(n: int, k: int, slot: str = "z") -> ParamPoly:
+    """Weighted second-kind Stirling sum for the Bernoulli-type family."""
+    return _stirling_sum(weighted_stirling2, 1, True, True, n, k, slot)
 
 
 @lru_cache(maxsize=None)
 def poly_cauchy1(n: int, k: int, slot: str = "z") -> ParamPoly:
     """Weighted first-kind Stirling sum for the first Cauchy-type family."""
-    _check_args(n, k, slot)
-    total = ParamPoly.zero()
-    for m in range(n + 1):
-        c = q_number_power_inverse(m, k)
-        if (n - m) % 2:
-            c = -c
-        term = substitute_weight(weighted_stirling1(n, m), 1, slot)
-        total = total + term.scale(c)
-    return total
+    return _stirling_sum(weighted_stirling1, 1, False, True, n, k, slot)
 
 
 @lru_cache(maxsize=None)
 def poly_cauchy2(n: int, k: int, slot: str = "z") -> ParamPoly:
     """Weighted first-kind Stirling sum for the second Cauchy-type family,
     with the weight taken at -z/rho and a global (-1)^n."""
-    _check_args(n, k, slot)
-    total = ParamPoly.zero()
+    return _stirling_sum(weighted_stirling1, -1, False, False, n, k, slot)
+
+
+def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
+    """sign * sum_m S1(n, m) rho^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k,
+    with sign (-1)^(n-m) inside the m sum if sign_by_m, else (-1)^n.
+
+    It reads the plain, unweighted first-kind numbers, so it stays an
+    independent check of the weighted-table closed forms.
+    """
+    _check_args(n, k, "z")
+    terms: dict[tuple[int, int, int], QRat] = {}
     for m in range(n + 1):
-        c = q_number_power_inverse(m, k)
-        if n % 2:
-            c = -c
-        term = substitute_weight(weighted_stirling1(n, m), -1, slot)
-        total = total + term.scale(c)
-    return total
+        s = stirling1(n, m)
+        if not s:
+            continue
+        outer = Fraction(-s if (n - m if sign_by_m else n) % 2 else s)
+        for i in range(m + 1):
+            c = outer * comb(m, i)
+            if i % 2:
+                c = -c
+            coeff = q_number_power_inverse(m - i, k) * c
+            key = (n - m, i, 0)
+            acc = terms.get(key)
+            terms[key] = coeff if acc is None else acc + coeff
+    return ParamPoly._raw({e: c for e, c in terms.items() if not c.is_zero()})
 
 
 def poly_cauchy1_double_sum(n: int, k: int) -> ParamPoly:
@@ -97,22 +119,7 @@ def poly_cauchy1_double_sum(n: int, k: int) -> ParamPoly:
 
         sum_m S1(n, m) (-rho)^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k
     """
-    _check_args(n, k, "z")
-    terms: dict[tuple[int, int, int], QRat] = {}
-    for m in range(n + 1):
-        s = stirling1(n, m)
-        if not s:
-            continue
-        outer = Fraction(s if (n - m) % 2 == 0 else -s)
-        for i in range(m + 1):
-            c = outer * comb(m, i)
-            if i % 2:
-                c = -c
-            coeff = q_number_power_inverse(m - i, k) * c
-            key = (n - m, i, 0)
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-    return ParamPoly._raw({e: c for e, c in terms.items() if not c.is_zero()})
+    return _double_sum(n, k, True)
 
 
 def poly_cauchy2_double_sum(n: int, k: int) -> ParamPoly:
@@ -120,22 +127,7 @@ def poly_cauchy2_double_sum(n: int, k: int) -> ParamPoly:
 
         (-1)^n sum_m S1(n, m) rho^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k
     """
-    _check_args(n, k, "z")
-    terms: dict[tuple[int, int, int], QRat] = {}
-    for m in range(n + 1):
-        s = stirling1(n, m)
-        if not s:
-            continue
-        outer = Fraction(s if n % 2 == 0 else -s)
-        for i in range(m + 1):
-            c = outer * comb(m, i)
-            if i % 2:
-                c = -c
-            coeff = q_number_power_inverse(m - i, k) * c
-            key = (n - m, i, 0)
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-    return ParamPoly._raw({e: c for e, c in terms.items() if not c.is_zero()})
+    return _double_sum(n, k, False)
 
 
 def family_value(family: str, n: int, k: int, slot: str = "z") -> ParamPoly:

@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .core import ParamPoly, QRat, q_number_power_inverse
+from .core import ParamPoly, _power, q_number_power_inverse
 
 __all__ = [
-    "NonInvertibleConstantTerm",
     "NonZeroConstantTerm",
     "TruncSeries",
     "egf_coefficient",
@@ -26,18 +25,11 @@ __all__ = [
     "gf_weighted_stirling",
     "series_compose",
     "series_exp",
-    "series_inverse",
-    "series_log1p",
 ]
 
 
 class NonZeroConstantTerm(ValueError):
-    """Composition or logarithm argument has a nonzero constant term."""
-
-
-class NonInvertibleConstantTerm(ValueError):
-    """Series inversion needs a constant term that is a nonzero rational
-    function of q alone."""
+    """Composition or exponential argument has a nonzero constant term."""
 
 
 def _coerce_coeff(c) -> ParamPoly:
@@ -131,16 +123,8 @@ class TruncSeries:
 
     def __pow__(self, exponent: int) -> "TruncSeries":
         if exponent < 0:
-            raise ValueError("negative series power; use series_inverse")
-        result = TruncSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            raise ValueError("negative series power")
+        return _power(self, exponent, TruncSeries.one(self.order))
 
     def scale(self, c) -> "TruncSeries":
         factor = _coerce_coeff(c)
@@ -168,42 +152,6 @@ def series_exp(f: TruncSeries) -> TruncSeries:
     outer = TruncSeries([ParamPoly.const(Fraction(1, factorial(i)))
                          for i in range(n + 1)])
     return series_compose(outer, f)
-
-
-def series_log1p(f: TruncSeries) -> TruncSeries:
-    """log(1 + f) for f with zero constant term."""
-    if not f.coeffs[0].is_zero():
-        raise NonZeroConstantTerm("logarithm argument must vanish at t=0")
-    n = f.order
-    coeffs = [ParamPoly.zero()]
-    for i in range(1, n + 1):
-        c = Fraction(1, i) if i % 2 else Fraction(-1, i)
-        coeffs.append(ParamPoly.const(c))
-    return series_compose(TruncSeries(coeffs), f)
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse, requiring an invertible constant term.
-
-    The constant term must be a nonzero rational function of q alone; any
-    dependence on rho, z or y would make the inverse leave the polynomial
-    coefficient ring.
-    """
-    c0 = f.coeffs[0]
-    if c0.is_zero() or not c0.is_constant():
-        raise NonInvertibleConstantTerm("constant term is not a q-unit")
-    g0 = c0.constant_term().inverse()
-    n = f.order
-    out = [ParamPoly.const(g0)]
-    neg_g0 = -g0
-    for i in range(1, n + 1):
-        acc = ParamPoly.zero()
-        for j in range(1, i + 1):
-            fj = f.coeffs[j]
-            if not fj.is_zero():
-                acc = acc + fj * out[i - j]
-        out.append(acc.scale(neg_g0))
-    return TruncSeries(out)
 
 
 def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
@@ -264,14 +212,12 @@ def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:
     return head * _exp_linear(order, -1, "z")
 
 
-def gf_poly_cauchy1(k: int, order: int) -> TruncSeries:
-    """Exponential generating function of the first Cauchy-type family.
+def _gf_cauchy(k: int, order: int, sign: int) -> TruncSeries:
+    """With u = log(1 + rho t)/rho, the Cauchy-type generating function
 
-    With u = log(1 + rho t)/rho this is
+        (1 + rho t)^(-sign z/rho) * sum_{j>=0} (sign u)^j / (j! [j+1]_q^k)
 
-        (1 + rho t)^(-z/rho) * sum_{j>=0} u^j / (j! [j+1]_q^k)
-
-    and the prefactor is realized as exp(-z u), which keeps every
+    The prefactor is realized as exp(-sign z u), which keeps every
     coefficient polynomial in rho and z.
     """
     if order < 0:
@@ -280,23 +226,21 @@ def gf_poly_cauchy1(k: int, order: int) -> TruncSeries:
     outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k)
                                          * Fraction(1, factorial(j)))
                          for j in range(order + 1)])
-    lif = series_compose(outer, u)
-    prefactor = series_exp(u.scale(ParamPoly.monomial(-1, z=1)))
+    lif = series_compose(outer, u if sign > 0 else -u)
+    prefactor = series_exp(u.scale(ParamPoly.monomial(-sign, z=1)))
     return lif * prefactor
+
+
+def gf_poly_cauchy1(k: int, order: int) -> TruncSeries:
+    """Exponential generating function of the first Cauchy-type family:
+    (1 + rho t)^(-z/rho) * sum_{j>=0} u^j / (j! [j+1]_q^k)."""
+    return _gf_cauchy(k, order, 1)
 
 
 def gf_poly_cauchy2(k: int, order: int) -> TruncSeries:
     """Exponential generating function of the second Cauchy-type family:
     the mirror of the first kind, exp(z u) times the sum over (-u)^j."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    u = _cauchy_argument(order)
-    outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k)
-                                         * Fraction(1, factorial(j)))
-                         for j in range(order + 1)])
-    lif = series_compose(outer, -u)
-    prefactor = series_exp(u.scale(ParamPoly.monomial(1, z=1)))
-    return lif * prefactor
+    return _gf_cauchy(k, order, -1)
 
 
 def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:

@@ -62,28 +62,9 @@ def s_compose(outer, inner, order):
     return out
 
 
-def s_inverse(a, order):
-    """Multiplicative reciprocal; constant term must be nonzero."""
-    a = s_trim(a, order)
-    if a[0] == 0:
-        raise ValueError("constant term must be nonzero")
-    out = [ONE / a[0]] + [ZERO] * order
-    for n in range(1, order + 1):
-        acc = ZERO
-        for i in range(1, n + 1):
-            acc += a[i] * out[n - i]
-        out[n] = -acc / a[0]
-    return out
-
-
 def s_exp_outer(order):
     """Coefficients of exp(t)."""
     return [F(1, factorial(j)) for j in range(order + 1)]
-
-
-def s_log1p(order):
-    """Coefficients of log(1 + t)."""
-    return [ZERO] + [F((-1) ** (j - 1), j) for j in range(1, order + 1)]
 
 
 def binom_frac(z, j):

@@ -1,12 +1,19 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qpoly import parse_param_poly, poly_bernoulli, poly_cauchy1
+from qpoly import (
+    eval_numeric,
+    parse_param_poly,
+    poly_bernoulli,
+    poly_cauchy1,
+    poly_cauchy2,
+)
 from qpoly.cli import main
 
 
@@ -62,6 +69,58 @@ def test_value_numeric_point(capsys):
     rec = json.loads(out)
     assert rec["vars"]["q"] == 0.5
     assert isinstance(rec["value"], float)
+
+
+def test_value_numeric_accepts_fractions_and_zero_rho(capsys):
+    # --q parses --rho/--z exactly, as --at-q1 does, then rounds to floats
+    code, out = run_cli(capsys, "value", "--family", "polyCauchy2",
+                        "--n", "2", "--k", "1", "--q", "0.5", "--rho", "1/2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["vars"] == {"q": 0.5, "rho": 0.5, "z": 0.0}
+    assert rec["value"] == eval_numeric(poly_cauchy2(2, 1), q=0.5, rho=0.5,
+                                        z=0.0, y=0.0)
+    code, out = run_cli(capsys, "value", "--family", "polyBernoulli",
+                        "--n", "2", "--k", "1", "--q", "0.5", "--rho", "0",
+                        "--z", "1/3")
+    assert code == 0
+    assert json.loads(out)["vars"]["rho"] == 0.0
+
+
+def test_value_zero_denominator_is_usage_error(capsys):
+    code = main(["value", "--family", "polyBernoulli", "--n", "1", "--k", "1",
+                 "--at-q1", "--rho", "1/0"])
+    assert code == 2
+
+
+def test_config_only_on_verify_and_oracle(capsys):
+    for argv in (["value", "--family", "polyBernoulli", "--n", "2",
+                  "--k", "1", "--config", "x"],
+                 ["table", "polyBernoulli", "--nmax", "2", "--k", "1",
+                  "--config", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+# sha256 and line count of verify stdout, pinned so that a change to the
+# record format or order fails even when two runs agree with each other
+PINNED_VERIFY = {
+    "gf": ("626028c6c47d60662fdb5c6b974425f1d9537f07d5a5bb94245ef4c85080ee5b",
+           30),
+    "identities": (
+        "e8a646eb67b1a492a3780b6f6a7cc15334713d7bbca477bdfb9a8b3477880a64",
+        96),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(PINNED_VERIFY))
+def test_verify_stdout_is_pinned(capsys, scope):
+    code, out = run_cli(capsys, "verify", "--scope", scope, "--nmax", "4",
+                        "--k", "0,1")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, out.count("\n")) == PINNED_VERIFY[scope]
 
 
 def test_verify_identities_scope(capsys):

@@ -13,7 +13,6 @@ from qpoly import (
     QRat,
     eval_at_q1,
     eval_numeric,
-    q_derivative,
     q_number,
     q_number_power_inverse,
 )
@@ -165,54 +164,10 @@ def test_eval_numeric_domain_checks():
     p = ParamPoly.const(1)
     with pytest.raises(ValueError):
         eval_numeric(p, q=1.2)
-    with pytest.raises(ValueError):
-        eval_numeric(ParamPoly.monomial(1, rho=1), q=0.5, rho=0.0)
-
-
-# --- Jackson derivative -----------------------------------------------------
-
-def _mul_x(f, g):
-    out = [QPoly([])] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _shift_x_to_qx(f):
-    # x -> q x multiplies the x^m coefficient by q^m
-    return [c * QPoly.monomial(m) for m, c in enumerate(f)]
-
-
-def _padded_eq(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [QPoly([])] * (n - len(f))
-    g = list(g) + [QPoly([])] * (n - len(g))
-    return all(a == b for a, b in zip(f, g))
-
-
-def test_q_derivative_monomials():
-    # x^m maps to [m]_q x^(m-1)
-    x_cubed = [QPoly([]), QPoly([]), QPoly([]), ONE_POLY]
-    d = q_derivative(x_cubed)
-    assert _padded_eq(d, [QPoly([]), QPoly([]), q_number(3)])
-    assert q_derivative([ONE_POLY]) == ()
-
-
-@given(st.lists(small_ints, min_size=1, max_size=4),
-       st.lists(small_ints, min_size=1, max_size=4))
-@settings(max_examples=80)
-def test_q_derivative_product_rule(fc, gc):
-    f = [QPoly([c]) for c in fc]
-    g = [QPoly([c]) for c in gc]
-    # give each a genuine x dependence
-    f = f + [ONE_POLY]
-    g = [ONE_POLY] + g
-    lhs = q_derivative(_mul_x(f, g))
-    rhs_a = _mul_x(list(q_derivative(f)), g)
-    rhs_b = _mul_x(_shift_x_to_qx(f), list(q_derivative(g)))
-    n = max(len(rhs_a), len(rhs_b))
-    rhs_a = rhs_a + [QPoly([])] * (n - len(rhs_a))
-    rhs_b = rhs_b + [QPoly([])] * (n - len(rhs_b))
-    rhs = [a + b for a, b in zip(rhs_a, rhs_b)]
-    assert _padded_eq(lhs, rhs)
+    # rho = 0 is allowed, as on the exact path: the value is a polynomial in rho
+    p = ParamPoly.monomial(q_number_power_inverse(1, 1)) \
+        + ParamPoly.monomial(1, rho=1, z=1)
+    exact = p.substitute(rho=0, z=F(1, 4)).constant_term()
+    half = F(1, 2)
+    want = float(exact.num.evaluate(half) / exact.den.evaluate(half))
+    assert eval_numeric(p, q=0.5, rho=0.0, z=0.25) == want
