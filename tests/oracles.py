@@ -67,6 +67,11 @@ def s_exp_outer(order):
     return [F(1, factorial(j)) for j in range(order + 1)]
 
 
+def s_log1p(order):
+    """Coefficients of log(1 + t)."""
+    return [ZERO] + [F((-1) ** (j - 1), j) for j in range(1, order + 1)]
+
+
 def binom_frac(z, j):
     """Generalized binomial coefficient with Fraction upper argument."""
     out = ONE

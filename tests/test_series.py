@@ -43,6 +43,22 @@ def test_series_basic_arithmetic():
     assert a.truncate(1).order == 1
 
 
+def test_exp_log_round_trip():
+    # exp(log(1 + t)) = 1 + t, with log(1 + t) taken from the oracle
+    log_side = _const_series(O.s_log1p(ORDER))
+    back = series_exp(log_side)
+    want = TruncSeries.one(ORDER) + TruncSeries.identity(ORDER)
+    assert back.coeffs == want.truncate(ORDER).coeffs
+
+
+def test_log_exp_round_trip():
+    # log(1 + (e^t - 1)) = t, composing the oracle's log(1 + u) with e^t - 1
+    t = TruncSeries.identity(ORDER)
+    em1 = series_exp(t) - TruncSeries.one(ORDER)
+    back = series_compose(_const_series(O.s_log1p(ORDER)), em1)
+    assert back.coeffs == t.truncate(ORDER).coeffs
+
+
 def test_exp_matches_oracle_series():
     got = series_exp(TruncSeries.identity(ORDER))
     assert got.coeffs == _const_series(O.s_exp_outer(ORDER)).coeffs
