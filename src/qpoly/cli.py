@@ -155,8 +155,9 @@ def _exact_arg(text: str | None) -> Fraction | None:
         raise ValueError("zero denominator in %r" % text) from None
 
 
-def _evaluate(value: ParamPoly, args) -> tuple[dict, object]:
-    """Apply the evaluation flags; returns (vars, printable value)."""
+def _evaluate(value: ParamPoly, args) -> tuple[dict, object, ParamPoly | None]:
+    """Apply the evaluation flags; returns (vars, printable value, exact
+    value), the exact value None under --q."""
     if args.at_q1 and args.q is not None:
         raise ValueError("--at-q1 and --q are mutually exclusive")
     rho, z = _exact_arg(args.rho), _exact_arg(args.z)
@@ -165,19 +166,19 @@ def _evaluate(value: ParamPoly, args) -> tuple[dict, object]:
         rho = float(rho) if rho is not None else 1.0
         z = float(z) if z is not None else 0.0
         num = eval_numeric(value, q=args.q, rho=rho, z=z, y=0.0)
-        return {"q": args.q, "rho": rho, "z": z}, num
+        return {"q": args.q, "rho": rho, "z": z}, num, None
     if args.at_q1:
         out = value.at_q1().substitute(rho=rho, z=z)
         vars_ = {"q": 1,
                  "rho": str(rho) if rho is not None else "symbolic",
                  "z": str(z) if z is not None else "symbolic"}
         if out.is_constant():
-            return vars_, str(out.constant_term().eval_at_q1())
-        return vars_, format_param_poly(out)
+            return vars_, str(out.constant_term().eval_at_q1()), out
+        return vars_, format_param_poly(out), out
     if args.rho is not None or args.z is not None:
         raise ValueError("--rho/--z need --at-q1 or --q")
     return ({"q": "symbolic", "rho": "symbolic", "z": "symbolic"},
-            format_param_poly(value))
+            format_param_poly(value), value)
 
 
 def _record(family: str, n: int, k: int, vars_: dict, value,
@@ -213,11 +214,12 @@ def _cmd_values(args, out) -> int:
     records = []
     for n in ns:
         value = family_value(args.family, n, args.k)
-        vars_, printable = _evaluate(value, args)
+        vars_, printable, exact = _evaluate(value, args)
         rec = _record(args.family, n, args.k, vars_, printable, "closed_form")
         if args.format == "latex":
-            rec["latex"] = (latex_param_poly(value) if vars_["q"] == "symbolic"
-                            else str(printable))
+            # a --q row is a float, printed as its repr
+            rec["latex"] = (str(printable) if exact is None
+                            else latex_param_poly(exact))
         records.append(rec)
     _emit_records(records, args.format, out)
     return 0

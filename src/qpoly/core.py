@@ -113,20 +113,6 @@ class QPoly:
     def zero(cls) -> "QPoly":
         return _QP_ZERO
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return _QP_ONE
-
-    @classmethod
-    def q(cls) -> "QPoly":
-        return _QP_Q
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "QPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * exponent + [coeff])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -172,10 +158,19 @@ class QPoly:
         return out
 
     def __mul__(self, other: Union["QPoly", Scalar]) -> "QPoly":
+        if isinstance(other, QPoly):
+            # a degree-0 operand is a scalar factor; the weighted Stirling
+            # sums make nearly every product one of these
+            if len(self.coeffs) == 1:
+                self, other = other, self.coeffs[0]
+            elif len(other.coeffs) == 1:
+                other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
             f = _to_fraction(other)
             if not f:
                 return _QP_ZERO
+            if f == 1:
+                return self
             out = QPoly()
             out.coeffs = tuple(c * f for c in self.coeffs)
             return out
@@ -257,7 +252,6 @@ class QPoly:
 
 _QP_ZERO = QPoly()
 _QP_ONE = QPoly([1])
-_QP_Q = QPoly([0, 1])
 
 
 def _as_qpoly(value: Union["QPoly", Scalar]) -> QPoly:
@@ -347,15 +341,7 @@ class QRat:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b == d:
-            if b.degree == 0:
-                return QRat._raw(a + c, _QP_ONE) if not (a + c).is_zero() \
-                    else _QR_ZERO
             return QRat(a + c, b)
-        if b.degree == 0:
-            # self is polynomial; gcd(a*d + c, d) = gcd(c, d) = 1
-            return QRat._raw(a * d + c, d)
-        if d.degree == 0:
-            return QRat._raw(a + c * b, b)
         g = QPoly.gcd(b, d)
         if g.degree == 0:
             num = a * d + c * b
@@ -428,17 +414,15 @@ class QRat:
             return self.inverse() ** (-exponent)
         return QRat._raw(self.num ** exponent, self.den ** exponent)
 
-    def evaluate(self, q: float) -> float:
+    def evaluate(self, q: Union[float, Fraction]):
+        """Value at a float q, or exactly at a Fraction q."""
         d = self.den.evaluate(q)
         if d == 0:
-            raise DenominatorVanishes("denominator vanishes at q=%r" % q)
+            raise DenominatorVanishes("denominator vanishes at q=%s" % q)
         return self.num.evaluate(q) / d
 
     def eval_at_q1(self) -> Fraction:
-        d = self.den.evaluate(Fraction(1))
-        if d == 0:
-            raise DenominatorVanishes("denominator vanishes at q=1")
-        return self.num.evaluate(Fraction(1)) / d
+        return self.evaluate(Fraction(1))
 
 
 _QR_ZERO = QRat.__new__(QRat)
@@ -620,11 +604,6 @@ class ParamPoly:
         return ParamPoly._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ParamPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a ParamPoly")
-        return _power(self, exponent, ParamPoly.const(1))
 
     def scale(self, coeff) -> "ParamPoly":
         c = _coerce_qrat(coeff)

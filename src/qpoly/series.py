@@ -53,10 +53,6 @@ class TruncSeries:
         self.coeffs: tuple[ParamPoly, ...] = tuple(_coerce_coeff(c) for c in coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([ParamPoly.zero()] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls([ParamPoly.const(1)] + [ParamPoly.zero()] * order)
 
@@ -163,34 +159,21 @@ def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
 # generating functions
 
 
-def _bernoulli_argument(order: int) -> TruncSeries:
-    """(1 - e^(-rho t)) / rho: coefficient of t^n is (-1)^(n+1) rho^(n-1) / n!."""
+def _rho_argument(order: int, den) -> TruncSeries:
+    """sum_{n>=1} (-1)^(n-1) rho^(n-1) t^n / den(n). With den(n) = n! this
+    is (1 - e^(-rho t)) / rho; with den(n) = n it is log(1 + rho t) / rho."""
     coeffs = [ParamPoly.zero()]
     for n in range(1, order + 1):
-        c = Fraction(1, factorial(n)) if n % 2 else Fraction(-1, factorial(n))
+        c = Fraction(1 if n % 2 else -1, den(n))
         coeffs.append(ParamPoly.monomial(c, rho=n - 1))
     return TruncSeries(coeffs)
 
 
-def _cauchy_argument(order: int) -> TruncSeries:
-    """log(1 + rho t) / rho: coefficient of t^n is (-1)^(n-1) rho^(n-1) / n."""
-    coeffs = [ParamPoly.zero()]
-    for n in range(1, order + 1):
-        c = Fraction(1, n) if n % 2 else Fraction(-1, n)
-        coeffs.append(ParamPoly.monomial(c, rho=n - 1))
-    return TruncSeries(coeffs)
-
-
-def _exp_linear(order: int, sign: int, slot: str) -> TruncSeries:
-    """exp(sign * v * t) with v the slot variable: t^n picks v^n sign^n / n!."""
-    coeffs = []
-    for n in range(order + 1):
-        c = Fraction(sign ** n, factorial(n))
-        if slot == "z":
-            coeffs.append(ParamPoly.monomial(c, z=n))
-        else:
-            coeffs.append(ParamPoly.monomial(c, y=n))
-    return TruncSeries(coeffs)
+def _exp_linear(order: int, sign: int) -> TruncSeries:
+    """exp(sign * z * t): t^n picks z^n sign^n / n!."""
+    return TruncSeries([ParamPoly.monomial(Fraction(sign ** n, factorial(n)),
+                                           z=n)
+                        for n in range(order + 1)])
 
 
 def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:
@@ -205,11 +188,11 @@ def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    w = _bernoulli_argument(order)
+    w = _rho_argument(order, factorial)
     outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k))
                          for j in range(order + 1)])
     head = series_compose(outer, w)
-    return head * _exp_linear(order, -1, "z")
+    return head * _exp_linear(order, -1)
 
 
 def _gf_cauchy(k: int, order: int, sign: int) -> TruncSeries:
@@ -222,7 +205,7 @@ def _gf_cauchy(k: int, order: int, sign: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    u = _cauchy_argument(order)
+    u = _rho_argument(order, lambda n: n)
     outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k)
                                          * Fraction(1, factorial(j)))
                          for j in range(order + 1)])
@@ -255,7 +238,7 @@ def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:
         base = TruncSeries([ParamPoly.zero()]
                            + [ParamPoly.const(Fraction(1, factorial(i)))
                               for i in range(1, order + 1)])
-        front = _exp_linear(order, 1, "z")
+        front = _exp_linear(order, 1)
     elif kind == "first":
         base = TruncSeries([ParamPoly.zero()]
                            + [ParamPoly.const(Fraction(1, i))

@@ -41,30 +41,22 @@ def _xpoly_trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _xpoly_step(p: tuple[int, ...], a: int) -> list[int]:
-    # (a + x) * p
-    out = [0] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i] += a * c
-        out[i + 1] += c
-    return out
-
-
-def _xpoly_add(p: list[int], q: tuple[int, ...]) -> list[int]:
-    if len(p) < len(q):
-        p = p + [0] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        p[i] += c
-    return p
-
-
 def _weighted_row_next(row: list[tuple[int, ...]], n: int,
                        second: bool) -> list[tuple[int, ...]]:
+    """Row n+1 from row n: S(n+1, m) = S(n, m-1) + (a + x) S(n, m), with
+    a = m for the second kind and a = n for the first."""
     out = []
     for m in range(n + 2):
-        acc = _xpoly_step(row[m], m if second else n) if m <= n else [0]
-        if 1 <= m <= n + 1:
-            acc = _xpoly_add(acc, row[m - 1])
+        # row n, column m has degree <= n - m, so n + 2 slots hold the sum
+        acc = [0] * (n + 2)
+        if m <= n:
+            a = m if second else n
+            for i, c in enumerate(row[m]):
+                acc[i] += a * c
+                acc[i + 1] += c
+        if m:
+            for i, c in enumerate(row[m - 1]):
+                acc[i] += c
         out.append(_xpoly_trim(acc))
     return out
 
@@ -73,34 +65,27 @@ def _plain_row_next(row: list[int], n: int, second: bool) -> list[int]:
     out = []
     for m in range(n + 2):
         v = (m if second else n) * row[m] if m <= n else 0
-        if 1 <= m <= n + 1:
+        if m:
             v += row[m - 1]
         out.append(v)
     return out
 
 
 _LOCK = threading.Lock()
-_W1_ROWS: list[list[tuple[int, ...]]] = [[(1,)]]
-_W2_ROWS: list[list[tuple[int, ...]]] = [[(1,)]]
-_P1_ROWS: list[list[int]] = [[1]]
-_P2_ROWS: list[list[int]] = [[1]]
+# rows 0..n of each triangle computed so far, keyed by (weighted, second)
+_TRIANGLES: dict[tuple[bool, bool], list] = {
+    (False, False): [[1]], (False, True): [[1]],
+    (True, False): [[(1,)]], (True, True): [[(1,)]],
+}
 
 
-def _weighted_row(n: int, second: bool) -> list[tuple[int, ...]]:
-    rows = _W2_ROWS if second else _W1_ROWS
+def _row(n: int, weighted: bool, second: bool) -> list:
+    rows = _TRIANGLES[weighted, second]
     if len(rows) <= n:
+        step = _weighted_row_next if weighted else _plain_row_next
         with _LOCK:
             while len(rows) <= n:
-                rows.append(_weighted_row_next(rows[-1], len(rows) - 1, second))
-    return rows[n]
-
-
-def _plain_row(n: int, second: bool) -> list[int]:
-    rows = _P2_ROWS if second else _P1_ROWS
-    if len(rows) <= n:
-        with _LOCK:
-            while len(rows) <= n:
-                rows.append(_plain_row_next(rows[-1], len(rows) - 1, second))
+                rows.append(step(rows[-1], len(rows) - 1, second))
     return rows[n]
 
 
@@ -109,22 +94,21 @@ def _check_indices(n: int, m: int) -> None:
         raise ValueError("indices must be nonnegative")
 
 
+def _plain(n: int, m: int, second: bool) -> int:
+    _check_indices(n, m)
+    return 0 if m > n else _row(n, False, second)[m]
+
+
 def stirling1(n: int, m: int) -> int:
     """Unsigned Stirling number of the first kind: the coefficient of x^m
     in the rising factorial x (x+1) ... (x+n-1)."""
-    _check_indices(n, m)
-    if m > n:
-        return 0
-    return _plain_row(n, second=False)[m]
+    return _plain(n, m, second=False)
 
 
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into m
     nonempty blocks."""
-    _check_indices(n, m)
-    if m > n:
-        return 0
-    return _plain_row(n, second=True)[m]
+    return _plain(n, m, second=True)
 
 
 @dataclass(frozen=True)
@@ -140,13 +124,6 @@ class WeightedStirling:
     kind: str  # "first" | "second"
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def as_param_poly(self, slot: str = "z") -> ParamPoly:
         """The plain weight polynomial with x placed in the given slot."""
         if slot not in ("z", "y"):
@@ -159,16 +136,18 @@ class WeightedStirling:
         return ParamPoly._raw(terms)
 
 
-def weighted_stirling1(n: int, m: int) -> WeightedStirling:
+def _weighted(n: int, m: int, second: bool) -> WeightedStirling:
     _check_indices(n, m)
-    coeffs = () if m > n else _weighted_row(n, second=False)[m]
-    return WeightedStirling(n, m, "first", coeffs)
+    coeffs = () if m > n else _row(n, True, second)[m]
+    return WeightedStirling(n, m, "second" if second else "first", coeffs)
+
+
+def weighted_stirling1(n: int, m: int) -> WeightedStirling:
+    return _weighted(n, m, second=False)
 
 
 def weighted_stirling2(n: int, m: int) -> WeightedStirling:
-    _check_indices(n, m)
-    coeffs = () if m > n else _weighted_row(n, second=True)[m]
-    return WeightedStirling(n, m, "second", coeffs)
+    return _weighted(n, m, second=True)
 
 
 def carlitz_expand(n: int, m: int) -> WeightedStirling:

@@ -27,6 +27,9 @@ _TERM_RE = re.compile(
     r"^\((?P<num>[^()]+)\)/\((?P<den>[^()]+)\)"
     r"(?P<vars>(?:\*(?:rho|z|y)\^[0-9]+)*)$")
 _VAR_RE = re.compile(r"\*(rho|z|y)\^([0-9]+)")
+# every term starts with "(", and inside a term's parentheses " + " is
+# followed by a digit or "-", so this splits only between terms
+_TERM_SPLIT_RE = re.compile(r" \+ (?=\()")
 
 
 def format_qpoly(p: QPoly) -> str:
@@ -83,33 +86,12 @@ def format_param_poly(p: ParamPoly) -> str:
     return " + ".join(parts)
 
 
-def _split_terms(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", i):
-            parts.append(text[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
-
-
 def parse_param_poly(text: str) -> ParamPoly:
     text = text.strip()
     if text == "0":
         return ParamPoly.zero()
     total = ParamPoly.zero()
-    for part in _split_terms(text):
+    for part in _TERM_SPLIT_RE.split(text):
         m = _TERM_RE.match(part)
         if m is None:
             raise ValueError("not a canonical term: %r" % part)
@@ -149,6 +131,11 @@ def _latex_qpoly(p: QPoly) -> str:
             parts.append("-" + qpart)
         else:
             parts.append(_latex_fraction(c) + " " + qpart)
+    return _latex_join(parts)
+
+
+def _latex_join(parts: list[str]) -> str:
+    """Join signed terms, turning "+ -x" into "- x"."""
     out = parts[0]
     for piece in parts[1:]:
         out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
@@ -170,22 +157,19 @@ def latex_param_poly(p: ParamPoly) -> str:
         return "0"
     parts = []
     for e, c in p.sorted_terms():
-        vars_part = ""
-        for name, exponent in zip(_LATEX_VARS, e):
-            if exponent == 1:
-                vars_part += " %s" % name
-            elif exponent > 1:
-                vars_part += " %s^{%d}" % (name, exponent)
+        vars_part = " ".join(name if exponent == 1
+                             else "%s^{%d}" % (name, exponent)
+                             for name, exponent in zip(_LATEX_VARS, e)
+                             if exponent)
         coeff_part = latex_qrat(c)
-        if vars_part:
-            if c == QRat.one():
-                coeff_part = ""
-            elif c == -QRat.one():
-                coeff_part = "-"
-            elif " + " in coeff_part or " - " in coeff_part:
+        if not vars_part:
+            parts.append(coeff_part)
+        elif c == QRat.one():
+            parts.append(vars_part)
+        elif c == -QRat.one():
+            parts.append("-" + vars_part)
+        else:
+            if " + " in coeff_part or " - " in coeff_part:
                 coeff_part = r"\left(%s\right)" % coeff_part
-        parts.append(coeff_part + vars_part if vars_part else coeff_part)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+            parts.append(coeff_part + " " + vars_part)
+    return _latex_join(parts)

@@ -61,6 +61,36 @@ def test_value_latex_contains_fraction(capsys):
     assert "\\frac" in out
 
 
+def test_table_latex_at_q1_renders_latex(capsys):
+    code, out = run_cli(capsys, "table", "polyBernoulli", "--nmax", "2",
+                        "--k", "1", "--format", "latex", "--at-q1",
+                        "--rho", "1/2")
+    assert code == 0
+    assert out.splitlines() == ["\\begin{tabular}{rl}",
+                                "0 & $1$ \\\\",
+                                "1 & $\\frac{1}{2} - z$ \\\\",
+                                "2 & $\\frac{5}{12} - z + z^{2}$ \\\\",
+                                "\\end{tabular}"]
+
+
+def test_value_latex_numeric_is_the_float_repr(capsys):
+    code, out = run_cli(capsys, "value", "--family", "polyCauchy1",
+                        "--n", "2", "--k", "1", "--q", "0.5",
+                        "--format", "latex")
+    assert code == 0
+    x = eval_numeric(poly_cauchy1(2, 1), q=0.5, rho=1.0, z=0.0, y=0.0)
+    assert out.splitlines()[1] == "2 & $%r$ \\\\" % x
+
+
+def test_value_at_q1_keeps_rho_and_z_symbolic(capsys):
+    code, out = run_cli(capsys, "value", "--family", "polyCauchy1",
+                        "--n", "2", "--k", "1", "--at-q1")
+    assert code == 0
+    assert json.loads(out)["value"] == (
+        "(1/3)/(1) + (-1)/(1)*z^1 + (1)/(1)*z^2 + (-1/2)/(1)*rho^1"
+        " + (1)/(1)*rho^1*z^1")
+
+
 def test_value_numeric_point(capsys):
     code, out = run_cli(capsys, "value", "--family", "polyCauchy2",
                         "--n", "2", "--k", "1", "--q", "0.5",
@@ -186,6 +216,37 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_bad_k_range_is_usage_error(capsys):
     code = main(["verify", "--scope", "gf", "--nmax", "2", "--k", "x,y"])
     assert code == 2
+
+
+VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    VALUE_ARGS + ["--n", "1", "--at-q1", "--q", "0.5"],
+    VALUE_ARGS + ["--n", "1", "--rho", "2"],
+    VALUE_ARGS + ["--n", "-1"],
+    ["table", "polyBernoulli", "--nmax", "-1", "--k", "1"],
+    ["verify", "--scope", "gf", "--nmax", "-1"],
+    ["verify", "--scope", "gf", "--nmax", "2", "--k", "3,1"],
+    ["verify", "--scope", "gf", "--nmax", "2", "--k", "1,2,3"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("series_order 5\n")
+    assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
+    assert "expected key = value" in capsys.readouterr().err
+
+
+def test_single_k_value_is_accepted(capsys):
+    code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "2",
+                        "--k", "2")
+    assert code == 0
+    assert {json.loads(line)["k"] for line in out.splitlines()} == {2}
 
 
 def test_oracle_nonconvergence_is_clean_failure(tmp_path, capsys):

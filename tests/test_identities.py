@@ -1,21 +1,27 @@
 """Identity battery: orthogonality, inversion, reciprocity, mixed sums."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+import qpoly.identities as identities
 from qpoly import (
     IDENTITY_IDS,
     IdentityReport,
+    ParamPoly,
+    WeightedStirling,
     check_inverse_relations,
     check_kind_reciprocity,
     check_mixed_expansions,
     check_orthogonality,
     poly_cauchy1,
     poly_cauchy2,
+    parse_param_poly,
     reports_to_json_lines,
     run_identity_sweep,
 )
+from qpoly.cli import main
 
 
 def test_identity_id_catalogue():
@@ -113,3 +119,58 @@ def test_json_lines_carry_failure_witness():
     rec = json.loads(reports_to_json_lines([made_up]))
     assert rec["status"] == "failed"
     assert rec["witness"] == "(1)/(1)*z^1"
+
+
+def _perturb_cauchy2(monkeypatch):
+    """Make the identities see g_n(z) + z^n in place of g_n(z)."""
+    true_value = identities.poly_cauchy2
+    monkeypatch.setattr(
+        identities, "poly_cauchy2",
+        lambda n, k, slot="z": true_value(n, k, slot)
+        + ParamPoly.monomial(1, z=n))
+
+
+def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
+    _perturb_cauchy2(monkeypatch)
+    reports = check_kind_reciprocity(2, 1)
+    assert [r.status for r in reports] == ["failed", "failed"]
+    # T6_301's right side gains C(1, m-1) rho^(2-m) z^m / m! for m = 1, 2;
+    # T6_302's left side gains z^2 / 2!
+    expected = {
+        "T6_301": -(ParamPoly.monomial(1, rho=1, z=1)
+                    + ParamPoly.monomial(F(1, 2), z=2)),
+        "T6_302": ParamPoly.monomial(F(1, 2), z=2),
+    }
+    for r in reports:
+        assert parse_param_poly(r.witness) == expected[r.identity_id]
+
+
+def test_orthogonality_failure_names_the_column(monkeypatch):
+    true_entry = identities.weighted_stirling2
+
+    def bumped(n, m):
+        # S2(2, 1, x) = 1 + 2x becomes 2 + 2x
+        w = true_entry(n, m)
+        if (n, m) != (2, 1):
+            return w
+        return WeightedStirling(n, m, w.kind, (w.coeffs[0] + 1,) + w.coeffs[1:])
+
+    monkeypatch.setattr(identities, "weighted_stirling2", bumped)
+    reports = check_orthogonality(2)
+    assert [r.status for r in reports] == ["failed", "failed"]
+    # ORTHO_1 meets the bump at m = 0 through -S1(1, 0, x) = -x, ORTHO_2
+    # at m = 1 through -S1(2, 2, x) = -1
+    assert [r.witness for r in reports] == ["m=0: (-1)/(1)*z^1",
+                                            "m=1: (-1)/(1)"]
+
+
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+    _perturb_cauchy2(monkeypatch)
+    code = main(["verify", "--scope", "identities", "--nmax", "2",
+                 "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "checks failed" in captured.err
+    failed = [json.loads(line) for line in captured.out.splitlines()
+              if json.loads(line)["status"] == "failed"]
+    assert failed and all(r["witness"] for r in failed)

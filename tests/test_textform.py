@@ -19,6 +19,8 @@ from qpoly import (
     parse_qpoly,
     parse_qrat,
     poly_bernoulli,
+    poly_cauchy1,
+    poly_cauchy2,
     q_number_power_inverse,
 )
 
@@ -59,6 +61,10 @@ def test_parse_rejects_garbage():
         parse_qrat("(1/(1)")
     with pytest.raises(ValueError):
         parse_param_poly("(1)/(1)*x^2")
+    for text in ("(1)/(1) + ", "(1)/(1) + (2)/(1) + ", "((1))/(1)",
+                 "(1)/(1 + (2)/(1))*z^1", "(1 + (1)/(1)"):
+        with pytest.raises(ValueError):
+            parse_param_poly(text)
 
 
 @given(p=int_polys)
@@ -80,6 +86,17 @@ def test_param_poly_round_trip(p):
     assert parse_param_poly(format_param_poly(p)) == p
 
 
+@pytest.mark.parametrize("value", [poly_bernoulli(3, 2),
+                                   poly_cauchy1(3, -2),
+                                   poly_cauchy2(4, 1)])
+def test_family_values_round_trip(value):
+    # these coefficients are multi-term q-polynomials, so " + " also
+    # appears inside a term's parentheses
+    text = format_param_poly(value)
+    assert "*q^1 + " in text
+    assert parse_param_poly(text) == value
+
+
 def test_zero_values_round_trip():
     assert parse_param_poly(format_param_poly(ParamPoly.zero())) \
         == ParamPoly.zero()
@@ -90,3 +107,11 @@ def test_latex_smoke():
     s = latex_param_poly(poly_bernoulli(2, 1))
     assert "\\frac" in s and "\\rho" in s
     assert latex_qrat(QRat(1)) == "1"
+
+
+def test_latex_unit_coefficients():
+    assert latex_param_poly(poly_cauchy1(1, 1)) == "\\frac{1}{1 + q} - z"
+    assert latex_param_poly(ParamPoly.var("z")) == "z"
+    assert latex_param_poly(ParamPoly.monomial(-1, rho=1, z=2)
+                            + ParamPoly.const(F(1, 2))) \
+        == "\\frac{1}{2} - \\rho z^{2}"
