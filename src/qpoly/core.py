@@ -149,9 +149,6 @@ class QPoly:
             out[i] += c
         return QPoly(out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
     def __neg__(self) -> "QPoly":
         out = QPoly()
         out.coeffs = tuple(-c for c in self.coeffs)
@@ -193,16 +190,14 @@ class QPoly:
             raise ValueError("negative power of a QPoly; use QRat")
         return _power(self, exponent, _QP_ONE)
 
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if not isinstance(other, QPoly):
-            return NotImplemented
+    def divexact(self, other: "QPoly") -> "QPoly":
+        """Quotient of a division that must leave no remainder."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         r = list(self.coeffs)
         dn = other.degree
         lc = other.leading
-        qlen = max(len(r) - dn, 0)
-        quot = [Fraction(0)] * qlen
+        quot = [Fraction(0)] * max(len(r) - dn, 0)
         while r and len(r) - 1 >= dn:
             t = r[-1] / lc
             d = len(r) - 1 - dn
@@ -211,13 +206,9 @@ class QPoly:
                 r[d + i] -= t * oc
             while r and not r[-1]:
                 r.pop()
-        return QPoly(quot), QPoly(r)
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        if r:
             raise ArithmeticError("inexact polynomial division")
-        return q
+        return QPoly(quot)
 
     def monic(self) -> "QPoly":
         lc = self.leading
@@ -301,10 +292,6 @@ class QRat:
         return r
 
     @classmethod
-    def zero(cls) -> "QRat":
-        return _QR_ZERO
-
-    @classmethod
     def one(cls) -> "QRat":
         return _QR_ONE
 
@@ -367,9 +354,6 @@ class QRat:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "QRat":
-        return (-self) + other
-
     def __mul__(self, other) -> "QRat":
         other = _coerce_qrat(other)
         if other is NotImplemented:
@@ -397,22 +381,6 @@ class QRat:
             raise ZeroDivisionError("inverse of zero")
         inv = 1 / self.num.leading
         return QRat._raw(self.den * inv, self.num * inv)
-
-    def __truediv__(self, other) -> "QRat":
-        other = _coerce_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "QRat":
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> "QRat":
-        if exponent == 0:
-            return _QR_ONE
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return QRat._raw(self.num ** exponent, self.den ** exponent)
 
     def evaluate(self, q: Union[float, Fraction]):
         """Value at a float q, or exactly at a Fraction q."""
@@ -482,6 +450,23 @@ class ParamPoly:
         p = cls.__new__(cls)
         p.terms = terms
         return p
+
+    @classmethod
+    def _collect(cls, pairs: Iterable,
+                 terms: Mapping | tuple = ()) -> "ParamPoly":
+        """Add (exponent, QRat) pairs into a copy of terms by exponent. No
+        zero coefficient is stored: a zero pair is skipped and a sum that
+        cancels is dropped."""
+        out = dict(terms)
+        for e, c in pairs:
+            acc = out.get(e)
+            if acc is not None:
+                c = acc + c
+            if not c.is_zero():
+                out[e] = c
+            elif acc is not None:
+                del out[e]
+        return cls._raw(out)
 
     @classmethod
     def zero(cls) -> "ParamPoly":
@@ -555,18 +540,7 @@ class ParamPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                s = acc + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-        return ParamPoly._raw(out)
+        return ParamPoly._collect(other.terms.items(), self.terms)
 
     __radd__ = __add__
 
@@ -577,31 +551,15 @@ class ParamPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "ParamPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction, QRat)):
             return self.scale(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return ParamPoly._raw({})
-        out: dict[tuple[int, int, int], QRat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                p = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = p
-                else:
-                    s = acc + p
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-        return ParamPoly._raw(out)
+        return ParamPoly._collect(
+            ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -617,37 +575,21 @@ class ParamPoly:
                    y: Scalar | None = None) -> "ParamPoly":
         """Exact substitution of rational values for any subset of variables."""
         vals = (rho, z, y)
-        out: dict[tuple[int, int, int], QRat] = {}
+        pairs = []
         for e, c in self.terms.items():
             ne = list(e)
             for i, v in enumerate(vals):
-                if v is not None and e[i]:
-                    c = c * (_to_fraction(v) ** e[i])
+                if v is not None:
+                    if e[i]:
+                        c = c * (_to_fraction(v) ** e[i])
                     ne[i] = 0
-                elif v is not None:
-                    ne[i] = 0
-            if c.is_zero():
-                continue
-            key = tuple(ne)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                s = acc + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-        return ParamPoly._raw(out)
+            pairs.append((tuple(ne), c))
+        return ParamPoly._collect(pairs)
 
     def at_q1(self) -> "ParamPoly":
         """Substitute q = 1 in every coefficient, keeping (rho, z, y) formal."""
-        out: dict[tuple[int, int, int], QRat] = {}
-        for e, c in self.terms.items():
-            v = c.eval_at_q1()
-            if v:
-                out[e] = _coerce_qrat(v)
-        return ParamPoly._raw(out)
+        return ParamPoly._collect((e, _coerce_qrat(c.eval_at_q1()))
+                                  for e, c in self.terms.items())
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], QRat]]:
         """Terms in ascending (e_rho, e_z, e_y) lexicographic order."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .core import ParamPoly, QRat, eval_at_q1, q_number_power_inverse
+from .core import ParamPoly, eval_at_q1, q_number_power_inverse
 from .stirling import (
     stirling1,
     substitute_weight,
@@ -97,21 +97,16 @@ def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
     independent check of the weighted-table closed forms.
     """
     _check_args(n, k, "z")
-    terms: dict[tuple[int, int, int], QRat] = {}
+    pairs = []
     for m in range(n + 1):
         s = stirling1(n, m)
-        if not s:
-            continue
         outer = Fraction(-s if (n - m if sign_by_m else n) % 2 else s)
         for i in range(m + 1):
             c = outer * comb(m, i)
             if i % 2:
                 c = -c
-            coeff = q_number_power_inverse(m - i, k) * c
-            key = (n - m, i, 0)
-            acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-    return ParamPoly._raw({e: c for e, c in terms.items() if not c.is_zero()})
+            pairs.append(((n - m, i, 0), q_number_power_inverse(m - i, k) * c))
+    return ParamPoly._collect(pairs)
 
 
 def poly_cauchy1_double_sum(n: int, k: int) -> ParamPoly:

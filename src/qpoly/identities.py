@@ -168,7 +168,9 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rhs = [ParamPoly.zero() for _ in range(4)]
+    # weights[l] holds the four q-free sums over m of the Stirling factors,
+    # so each family value meets one product per (identity, l)
+    weights = [[ParamPoly.zero()] * 4 for _ in range(n + 1)]
     for m in range(n + 1):
         s2x = substitute_weight(weighted_stirling2(n, m), 1, "z")
         s1x = substitute_weight(weighted_stirling1(n, m), 1, "z")
@@ -180,14 +182,17 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
             s2y = substitute_weight(weighted_stirling2(m, l), 1, "y")
             s2yn = substitute_weight(weighted_stirling2(m, l), -1, "y")
             s1y = substitute_weight(weighted_stirling1(m, l), 1, "y")
-            rhs[0] = rhs[0] + (s2x * s2y * poly_cauchy1(l, k, "y")
-                               ).scale(sign_nm * fm)
-            rhs[1] = rhs[1] + (s2x * s2yn * poly_cauchy2(l, k, "y")
-                               ).scale(sign_n * fm)
-            rhs[2] = rhs[2] + (s1x * s1y * poly_bernoulli(l, k, "y")
-                               ).scale(Fraction(sign_nm, fm))
-            rhs[3] = rhs[3] + (s1xn * s1y * poly_bernoulli(l, k, "y")
-                               ).scale(Fraction(sign_n, fm))
+            w = weights[l]
+            w[0] = w[0] + (s2x * s2y).scale(sign_nm * fm)
+            w[1] = w[1] + (s2x * s2yn).scale(sign_n * fm)
+            w[2] = w[2] + (s1x * s1y).scale(Fraction(sign_nm, fm))
+            w[3] = w[3] + (s1xn * s1y).scale(Fraction(sign_n, fm))
+    rhs = [ParamPoly.zero()] * 4
+    for l, w in enumerate(weights):
+        rhs[0] = rhs[0] + w[0] * poly_cauchy1(l, k, "y")
+        rhs[1] = rhs[1] + w[1] * poly_cauchy2(l, k, "y")
+        rhs[2] = rhs[2] + w[2] * poly_bernoulli(l, k, "y")
+        rhs[3] = rhs[3] + w[3] * poly_bernoulli(l, k, "y")
     return [
         _report("T7_1", n, k, poly_bernoulli(n, k) - rhs[0]),
         _report("T7_2", n, k, poly_bernoulli(n, k) - rhs[1]),

@@ -79,11 +79,6 @@ class TruncSeries:
             raise ValueError("cannot extend a truncated series")
         return TruncSeries(self.coeffs[: order + 1])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
         return "TruncSeries(order=%d)" % self.order
 
@@ -133,10 +128,13 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise NonZeroConstantTerm("composition argument must vanish at t=0")
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
-    acc = TruncSeries([outer.coeffs[n]] + [ParamPoly.zero()] * n)
-    for i in range(n - 1, -1, -1):
-        acc = acc * inner
-        acc = TruncSeries([acc.coeffs[0] + outer.coeffs[i]] + list(acc.coeffs[1:]))
+    # not Horner's rule: outer_j only scales each power of inner, so no
+    # product of two q-rational series forms when outer alone carries q
+    power = TruncSeries.one(n)
+    acc = power.scale(outer.coeffs[0])
+    for j in range(1, n + 1):
+        power = power * inner
+        acc = acc + power.scale(outer.coeffs[j])
     return acc
 
 

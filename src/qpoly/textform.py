@@ -54,7 +54,9 @@ def parse_qpoly(text: str) -> QPoly:
             exponent = int(e)
         else:
             c, exponent = part, 0
-        coeffs[exponent] = coeffs.get(exponent, Fraction(0)) + Fraction(c)
+        c = Fraction(c)
+        # canonical text has each exponent once; input may repeat one
+        coeffs[exponent] = coeffs[exponent] + c if exponent in coeffs else c
     size = max(coeffs) + 1
     out = [Fraction(0)] * size
     for e, c in coeffs.items():
@@ -66,11 +68,16 @@ def format_qrat(r: QRat) -> str:
     return "(%s)/(%s)" % (format_qpoly(r.num), format_qpoly(r.den))
 
 
+def _term_coefficient(m: re.Match) -> QRat:
+    """Normalized, as input text need not be canonical."""
+    return QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
+
+
 def parse_qrat(text: str) -> QRat:
     m = _TERM_RE.match(text.strip())
     if m is None or m.group("vars"):
         raise ValueError("not a canonical rational function: %r" % text)
-    return QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
+    return _term_coefficient(m)
 
 
 def format_param_poly(p: ParamPoly) -> str:
@@ -90,17 +97,16 @@ def parse_param_poly(text: str) -> ParamPoly:
     text = text.strip()
     if text == "0":
         return ParamPoly.zero()
-    total = ParamPoly.zero()
+    pairs = []
     for part in _TERM_SPLIT_RE.split(text):
         m = _TERM_RE.match(part)
         if m is None:
             raise ValueError("not a canonical term: %r" % part)
-        coeff = QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
-        exps = {"rho": 0, "z": 0, "y": 0}
-        for name, e in _VAR_RE.findall(m.group("vars")):
-            exps[name] += int(e)
-        total = total + ParamPoly.monomial(coeff, **exps)
-    return total
+        e = [0, 0, 0]
+        for name, x in _VAR_RE.findall(m.group("vars")):
+            e[ParamPoly.VARS.index(name)] += int(x)
+        pairs.append((tuple(e), _term_coefficient(m)))
+    return ParamPoly._collect(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,8 @@ def latex_param_poly(p: ParamPoly) -> str:
         elif c == -QRat.one():
             parts.append("-" + vars_part)
         else:
-            if " + " in coeff_part or " - " in coeff_part:
+            # a \frac is one group already; a sum of q-powers is not
+            if c.is_polynomial() and sum(map(bool, c.num.coeffs)) > 1:
                 coeff_part = r"\left(%s\right)" % coeff_part
             parts.append(coeff_part + " " + vars_part)
     return _latex_join(parts)

@@ -67,6 +67,24 @@ def test_parse_rejects_garbage():
             parse_param_poly(text)
 
 
+def test_parse_accepts_non_canonical_input():
+    z = ParamPoly.var("z")
+    assert parse_param_poly("(1)/(1)*z^1 + (1)/(1)*z^1") == z.scale(2)
+    assert parse_param_poly("(1)/(1)*z^1 + (-1)/(1)*z^1") == ParamPoly.zero()
+    # a sum that cancels is dropped, and a later term may bring it back
+    assert parse_param_poly("(1)/(1) + (-1)/(1) + (3)/(1)") \
+        == ParamPoly.const(3)
+    assert parse_qpoly("1 + 2*q^1 + 3*q^1") == QPoly([1, 5])
+    assert parse_param_poly("(1)/(1)*z^1*z^2") == ParamPoly.monomial(1, z=3)
+    assert parse_param_poly("(0)/(1)*z^1 + (1)/(1)") == ParamPoly.const(1)
+    assert parse_qrat("(2/4)/(1)") == QRat(F(1, 2))
+    assert parse_qrat("(2)/(2 + 2*q^1)") == q_number_power_inverse(1, 1)
+    assert parse_param_poly("(2)/(2 + 2*q^1)*rho^1") \
+        == ParamPoly.monomial(q_number_power_inverse(1, 1), rho=1)
+    with pytest.raises(ValueError):
+        parse_qpoly("3*q^")
+
+
 @given(p=int_polys)
 @settings(max_examples=120)
 def test_qpoly_round_trip(p):
@@ -115,3 +133,13 @@ def test_latex_unit_coefficients():
     assert latex_param_poly(ParamPoly.monomial(-1, rho=1, z=2)
                             + ParamPoly.const(F(1, 2))) \
         == "\\frac{1}{2} - \\rho z^{2}"
+
+
+def test_latex_brackets_only_multi_term_polynomials():
+    # a \frac coefficient is one group, whatever its denominator holds
+    assert latex_param_poly(poly_bernoulli(2, 1)) == (
+        "\\frac{2}{1 + q + q^{2}} + \\frac{-2}{1 + q} z + z^{2}"
+        " + \\frac{-1}{1 + q} \\rho")
+    assert latex_param_poly(poly_bernoulli(2, -1)) == (
+        "2 + 2 q + 2 q^{2} + \\left(-2 - 2 q\\right) z + z^{2}"
+        " + \\left(-1 - q\\right) \\rho")
