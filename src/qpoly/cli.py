@@ -18,12 +18,7 @@ from .core import DenominatorVanishes, ParamPoly, eval_numeric
 from .families import FAMILIES, family_value
 from .identities import run_identity_sweep
 from .jackson import NonconvergedTruncation, OracleConfig, oracle_family
-from .series import (
-    egf_coefficient,
-    gf_poly_bernoulli,
-    gf_poly_cauchy1,
-    gf_poly_cauchy2,
-)
+from .series import egf_coefficient, family_gf
 from .textform import format_param_poly, latex_param_poly
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
@@ -37,13 +32,6 @@ DEFAULT_CONFIG = {
     "nmax_mixed": 8,
     "nmax_oracle": 5,
 }
-
-_GF_BUILDERS = {
-    "polyBernoulli": gf_poly_bernoulli,
-    "polyCauchy1": gf_poly_cauchy1,
-    "polyCauchy2": gf_poly_cauchy2,
-}
-
 
 def _parse_k_range(text: str) -> tuple[int, int]:
     parts = text.split(",")
@@ -228,9 +216,8 @@ def _cmd_values(args, out) -> int:
 def _verify_gf(nmax: int, k_range: tuple[int, int]) -> list[dict]:
     records = []
     for family in FAMILIES:
-        builder = _GF_BUILDERS[family]
         for k in range(k_range[0], k_range[1] + 1):
-            series = builder(k, nmax)
+            series = family_gf(family, k, nmax)
             for n in range(nmax + 1):
                 same = egf_coefficient(series, n) == family_value(family, n, k)
                 rec = {"identity": "GF_%s" % family, "n": n, "k": k,

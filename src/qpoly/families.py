@@ -7,9 +7,15 @@ functions of q, built from weighted Stirling sums:
     cauchy 1   c_n(z) = sum_m S1(n, m, z/rho) (-rho)^(n-m)    / [m+1]_q^k
     cauchy 2   g_n(z) = (-1)^n sum_m S1(n, m, -z/rho) rho^(n-m) / [m+1]_q^k
 
-k may be any integer. The first-kind Cauchy family also admits a double
-sum over unweighted first-kind numbers, kept here as an independent
-cross-check path; likewise for the second kind.
+k may be any integer. q and k enter only through the scalars
+t_m = [m+1]_q^(-k), so `family_t` builds each value once in the t-basis,
+as q-free polynomials P_{n,m}(rho, z, y) with value sum_m t_m P_{n,m}, and
+`specialize` binds the t_m at one k. A relation linear in the family
+values that holds with the t_m formal holds for every k and q.
+
+The first-kind Cauchy family also admits a double sum over unweighted
+first-kind numbers, kept here as an independent cross-check path; likewise
+for the second kind.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
-from .core import ParamPoly, eval_at_q1, q_number_power_inverse
+from .core import ParamPoly, QRat, eval_at_q1, q_number_power_inverse
 from .stirling import (
     stirling1,
     substitute_weight,
@@ -29,64 +36,66 @@ from .stirling import (
 __all__ = [
     "FAMILIES",
     "classical_number",
+    "family_t",
     "family_value",
     "poly_bernoulli",
     "poly_cauchy1",
     "poly_cauchy1_double_sum",
     "poly_cauchy2",
     "poly_cauchy2_double_sum",
+    "specialize",
 ]
 
 FAMILIES = ("polyBernoulli", "polyCauchy1", "polyCauchy2")
 
 
-def _check_args(n: int, k: int, slot: str) -> None:
+@lru_cache(maxsize=None)
+def family_t(family: str, n: int, slot: str = "z") -> tuple[ParamPoly, ...]:
+    """The family's value at order n in the t-basis: P_{n,m} is the m-th
+    term of its closed form without the 1/[m+1]_q^k. substitute_weight
+    checks the slot."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    bernoulli, second = family == "polyBernoulli", family == "polyCauchy2"
+    table = weighted_stirling2 if bernoulli else weighted_stirling1
+    out = []
+    for m in range(n + 1):
+        c = factorial(m) if bernoulli else 1
+        if (n if second else n - m) % 2:
+            c = -c
+        out.append(substitute_weight(table(n, m), -1 if second else 1,
+                                     slot).scale(c))
+    return tuple(out)
+
+
+def specialize(tvalue: Sequence[ParamPoly], k: int) -> ParamPoly:
+    """sum_m t_m tvalue[m] at t_m = [m+1]_q^(-k)."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
-    if slot not in ("z", "y"):
-        raise ValueError("slot must be 'z' or 'y'")
-
-
-def _stirling_sum(table, weight: int, times_factorial: bool,
-                  sign_by_m: bool, n: int, k: int, slot: str) -> ParamPoly:
-    """sum_m sign * table(n, m, weight * v/rho) [* m!] / [m+1]_q^k, with v
-    the slot variable and sign (-1)^(n-m) if sign_by_m, else (-1)^n.
-
-    Each family looks its table up by name when it is called, so a later
-    rebinding of that name (as perfbench's tracer does) is seen here too.
-    """
-    _check_args(n, k, slot)
-    total = ParamPoly.zero()
-    for m in range(n + 1):
-        c = q_number_power_inverse(m, k)
-        if times_factorial:
-            c = c * Fraction(factorial(m))
-        if (n - m if sign_by_m else n) % 2:
-            c = -c
-        term = substitute_weight(table(n, m), weight, slot)
-        total = total + term.scale(c)
-    return total
+    return ParamPoly._collect((e, c * q_number_power_inverse(m, k))
+                              for m, p in enumerate(tvalue)
+                              for e, c in p.terms.items())
 
 
 @lru_cache(maxsize=None)
 def poly_bernoulli(n: int, k: int, slot: str = "z") -> ParamPoly:
     """Weighted second-kind Stirling sum for the Bernoulli-type family."""
-    return _stirling_sum(weighted_stirling2, 1, True, True, n, k, slot)
+    return specialize(family_t("polyBernoulli", n, slot), k)
 
 
 @lru_cache(maxsize=None)
 def poly_cauchy1(n: int, k: int, slot: str = "z") -> ParamPoly:
     """Weighted first-kind Stirling sum for the first Cauchy-type family."""
-    return _stirling_sum(weighted_stirling1, 1, False, True, n, k, slot)
+    return specialize(family_t("polyCauchy1", n, slot), k)
 
 
 @lru_cache(maxsize=None)
 def poly_cauchy2(n: int, k: int, slot: str = "z") -> ParamPoly:
     """Weighted first-kind Stirling sum for the second Cauchy-type family,
     with the weight taken at -z/rho and a global (-1)^n."""
-    return _stirling_sum(weighted_stirling1, -1, False, False, n, k, slot)
+    return specialize(family_t("polyCauchy2", n, slot), k)
 
 
 def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
@@ -96,17 +105,16 @@ def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
     It reads the plain, unweighted first-kind numbers, so it stays an
     independent check of the weighted-table closed forms.
     """
-    _check_args(n, k, "z")
-    pairs = []
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pairs = [[] for _ in range(n + 1)]   # by the index of t
     for m in range(n + 1):
         s = stirling1(n, m)
-        outer = Fraction(-s if (n - m if sign_by_m else n) % 2 else s)
+        outer = -s if (n - m if sign_by_m else n) % 2 else s
         for i in range(m + 1):
             c = outer * comb(m, i)
-            if i % 2:
-                c = -c
-            pairs.append(((n - m, i, 0), q_number_power_inverse(m - i, k) * c))
-    return ParamPoly._collect(pairs)
+            pairs[m - i].append(((n - m, i, 0), QRat(-c if i % 2 else c)))
+    return specialize([ParamPoly._collect(p) for p in pairs], k)
 
 
 def poly_cauchy1_double_sum(n: int, k: int) -> ParamPoly:

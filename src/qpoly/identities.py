@@ -5,6 +5,13 @@ prefactor absorbs each 1/rho inside a weight) and asserts that the
 difference of the two sides is the zero ParamPoly, so a pass is an exact
 statement about rational functions of q, not a numeric one.
 
+Orthogonality involves no family. Every other identity is linear in the
+family values, so its difference is formed once per n in the t-basis of
+families, sum_m t_m D_m with q-free D_m and t_m = [m+1]_q^(-k), and shared
+by every k. The verdict at (n, k) is that t-difference specialized at k: a
+zero t-difference is one proof for every k and q, and a failure's witness
+is the specialized difference.
+
 Identity labels are stable wire-format tokens; one JSON record is emitted
 per (identity, n, k).
 """
@@ -14,11 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .core import ParamPoly, q_number_power_inverse
-from .families import poly_bernoulli, poly_cauchy1, poly_cauchy2
+from .core import ParamPoly
+from .families import family_t, specialize
 from .stirling import (
     substitute_weight,
     weighted_stirling1,
@@ -54,11 +62,42 @@ class IdentityReport:
     witness: str | None = None
 
 
-def _report(identity_id: str, n: int, k: int | None,
-            diff: ParamPoly) -> IdentityReport:
-    if diff.is_zero():
-        return IdentityReport(identity_id, n, k, "verified")
-    return IdentityReport(identity_id, n, k, "failed", format_param_poly(diff))
+@lru_cache(maxsize=None)
+def _t_differences(body, n: int, _inputs: tuple) -> tuple:
+    return body(n)
+
+
+def _verdicts(ids: Sequence[str], n: int, k: int,
+              body) -> list[IdentityReport]:
+    """Judge the t-differences body(n), one per identity, at k. They are
+    memoized per (body, n); the key also holds the names of this module the
+    t-path reads, so rebinding one (to plant a fault, as the tests do) never
+    meets a difference cached from another."""
+    inputs = (family_t, substitute_weight, weighted_stirling1,
+              weighted_stirling2)
+    diffs = [specialize(d, k) for d in _t_differences(body, n, inputs)]
+    return [IdentityReport(i, n, k, "verified") if d.is_zero()
+            else IdentityReport(i, n, k, "failed", format_param_poly(d))
+            for i, d in zip(ids, diffs)]
+
+
+def _t_combination(pairs) -> tuple[ParamPoly, ...]:
+    """sum of w * v over (w, v) pairs, w q-free and v in the t-basis."""
+    return tuple(sum((w * v[j] for w, v in pairs if j < len(v)),
+                     ParamPoly.zero())
+                 for j in range(max(len(v) for _, v in pairs)))
+
+
+def _inverse_lhs(n: int, slot: str) -> list[tuple[ParamPoly, ...]]:
+    """The inverse relations' left sides at n in the t-basis, the weight
+    variable v in the given slot: sum_m S(n, m, +-v/rho) rho^(n-m) F_m(v)."""
+    return [_t_combination([(substitute_weight(table(n, m), sign, slot),
+                             family_t(family, m, slot))
+                            for m in range(n + 1)])
+            for table, sign, family in (
+                (weighted_stirling1, 1, "polyBernoulli"),
+                (weighted_stirling2, 1, "polyCauchy1"),
+                (weighted_stirling2, -1, "polyCauchy2"))]
 
 
 def check_orthogonality(n: int) -> list[IdentityReport]:
@@ -71,21 +110,16 @@ def check_orthogonality(n: int) -> list[IdentityReport]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
-    for identity_id, first_outer in (("ORTHO_1", False), ("ORTHO_2", True)):
+    for identity_id, outer, inner, sign_by_l in (
+            ("ORTHO_1", weighted_stirling2, weighted_stirling1, False),
+            ("ORTHO_2", weighted_stirling1, weighted_stirling2, True)):
         witness: str | None = None
         for m in range(n + 1):
-            acc = ParamPoly.zero()
+            diff = ParamPoly.const(-1 if m == n else 0)
             for l in range(m, n + 1):
-                if first_outer:
-                    prod = (weighted_stirling1(n, l).as_param_poly()
-                            * weighted_stirling2(l, m).as_param_poly())
-                    sign = (-1) ** (l - m)
-                else:
-                    prod = (weighted_stirling2(n, l).as_param_poly()
-                            * weighted_stirling1(l, m).as_param_poly())
-                    sign = (-1) ** (n - l)
-                acc = acc + prod.scale(sign)
-            diff = acc - ParamPoly.const(1 if m == n else 0)
+                sign = (-1) ** (l - m if sign_by_l else n - l)
+                diff = diff + (outer(n, l).as_param_poly()
+                               * inner(l, m).as_param_poly()).scale(sign)
             if not diff.is_zero():
                 witness = "m=%d: %s" % (m, format_param_poly(diff))
                 break
@@ -106,22 +140,13 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rhs = ParamPoly.const(q_number_power_inverse(n, k))
-    lhs1 = ParamPoly.zero()
-    lhs2 = ParamPoly.zero()
-    lhs3 = ParamPoly.zero()
-    for m in range(n + 1):
-        w1 = substitute_weight(weighted_stirling1(n, m), 1)
-        w2 = substitute_weight(weighted_stirling2(n, m), 1)
-        w2n = substitute_weight(weighted_stirling2(n, m), -1)
-        lhs1 = lhs1 + w1 * poly_bernoulli(m, k)
-        lhs2 = lhs2 + w2 * poly_cauchy1(m, k)
-        lhs3 = lhs3 + w2n * poly_cauchy2(m, k)
-    return [
-        _report("T5_201", n, k, lhs1 - rhs.scale(Fraction(factorial(n)))),
-        _report("T5_202", n, k, lhs2 - rhs),
-        _report("T5_203", n, k, lhs3 - rhs.scale((-1) ** n)),
-    ]
+    return _verdicts(("T5_201", "T5_202", "T5_203"), n, k, _inverse_t)
+
+
+def _inverse_t(n: int) -> tuple:
+    # each right side is a multiple of t_n
+    return tuple(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),) for lhs, rhs
+                 in zip(_inverse_lhs(n, "z"), (factorial(n), 1, (-1) ** n)))
 
 
 def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
@@ -137,20 +162,18 @@ def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 1:
         raise ValueError("reciprocity starts at n = 1")
-    sign = Fraction((-1) ** n, factorial(n))
-    lhs1 = poly_cauchy1(n, k).scale(sign)
-    lhs2 = poly_cauchy2(n, k).scale(sign)
-    rhs1 = ParamPoly.zero()
-    rhs2 = ParamPoly.zero()
-    for m in range(1, n + 1):
-        c = Fraction(comb(n - 1, m - 1), factorial(m))
-        gap = ParamPoly.monomial(c, rho=n - m)
-        rhs1 = rhs1 + poly_cauchy2(m, k) * gap
-        rhs2 = rhs2 + poly_cauchy1(m, k) * gap
-    return [
-        _report("T6_301", n, k, lhs1 - rhs1),
-        _report("T6_302", n, k, lhs2 - rhs2),
-    ]
+    return _verdicts(("T6_301", "T6_302"), n, k, _reciprocity_t)
+
+
+def _reciprocity_t(n: int) -> tuple:
+    sign = ParamPoly.const(Fraction((-1) ** n, factorial(n)))
+    return tuple(
+        _t_combination([(sign, family_t(lhs, n))] + [
+            (ParamPoly.monomial(-Fraction(comb(n - 1, m - 1), factorial(m)),
+                                rho=n - m), family_t(rhs, m))
+            for m in range(1, n + 1)])
+        for lhs, rhs in (("polyCauchy1", "polyCauchy2"),
+                         ("polyCauchy2", "polyCauchy1")))
 
 
 def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
@@ -168,37 +191,26 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # weights[l] holds the four q-free sums over m of the Stirling factors,
-    # so each family value meets one product per (identity, l)
-    weights = [[ParamPoly.zero()] * 4 for _ in range(n + 1)]
-    for m in range(n + 1):
-        s2x = substitute_weight(weighted_stirling2(n, m), 1, "z")
-        s1x = substitute_weight(weighted_stirling1(n, m), 1, "z")
-        s1xn = substitute_weight(weighted_stirling1(n, m), -1, "z")
-        fm = factorial(m)
-        sign_nm = (-1) ** (n - m)
-        sign_n = (-1) ** n
-        for l in range(m + 1):
-            s2y = substitute_weight(weighted_stirling2(m, l), 1, "y")
-            s2yn = substitute_weight(weighted_stirling2(m, l), -1, "y")
-            s1y = substitute_weight(weighted_stirling1(m, l), 1, "y")
-            w = weights[l]
-            w[0] = w[0] + (s2x * s2y).scale(sign_nm * fm)
-            w[1] = w[1] + (s2x * s2yn).scale(sign_n * fm)
-            w[2] = w[2] + (s1x * s1y).scale(Fraction(sign_nm, fm))
-            w[3] = w[3] + (s1xn * s1y).scale(Fraction(sign_n, fm))
-    rhs = [ParamPoly.zero()] * 4
-    for l, w in enumerate(weights):
-        rhs[0] = rhs[0] + w[0] * poly_cauchy1(l, k, "y")
-        rhs[1] = rhs[1] + w[1] * poly_cauchy2(l, k, "y")
-        rhs[2] = rhs[2] + w[2] * poly_bernoulli(l, k, "y")
-        rhs[3] = rhs[3] + w[3] * poly_bernoulli(l, k, "y")
-    return [
-        _report("T7_1", n, k, poly_bernoulli(n, k) - rhs[0]),
-        _report("T7_2", n, k, poly_bernoulli(n, k) - rhs[1]),
-        _report("T7_3", n, k, poly_cauchy1(n, k) - rhs[2]),
-        _report("T7_4", n, k, poly_cauchy2(n, k) - rhs[3]),
-    ]
+    return _verdicts(("T7_1", "T7_2", "T7_3", "T7_4"), n, k, _mixed_t)
+
+
+def _mixed_t(n: int) -> tuple:
+    # each sum over l is an inverse relation's left side in the y slot
+    inner = [_inverse_lhs(m, "y") for m in range(n + 1)]
+    out = []
+    for lhs, table, sign, sign_by_m, factorial_power, relation in (
+            ("polyBernoulli", weighted_stirling2, 1, True, 1, 1),
+            ("polyBernoulli", weighted_stirling2, 1, False, 1, 2),
+            ("polyCauchy1", weighted_stirling1, 1, True, -1, 0),
+            ("polyCauchy2", weighted_stirling1, -1, False, -1, 0)):
+        pairs = [(ParamPoly.const(1), family_t(lhs, n))]   # minus the rhs
+        for m in range(n + 1):
+            c = -(-1) ** (n - m if sign_by_m else n) * Fraction(
+                factorial(m)) ** factorial_power
+            pairs.append((substitute_weight(table(n, m), sign).scale(c),
+                          inner[m][relation]))
+        out.append(_t_combination(pairs))
+    return tuple(out)
 
 
 def _sort_key(r: IdentityReport):

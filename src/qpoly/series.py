@@ -13,12 +13,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .core import ParamPoly, _power, q_number_power_inverse
+from .core import ParamPoly, _power
+from .families import FAMILIES, specialize
 
 __all__ = [
     "NonZeroConstantTerm",
     "TruncSeries",
     "egf_coefficient",
+    "family_gf",
     "gf_poly_bernoulli",
     "gf_poly_cauchy1",
     "gf_poly_cauchy2",
@@ -174,6 +176,41 @@ def _exp_linear(order: int, sign: int) -> TruncSeries:
                         for n in range(order + 1)])
 
 
+# family -> its generating function's t^n coefficients in the t-basis, up
+# to the largest order built; they do not depend on the truncation order
+_GF_T: dict[str, tuple] = {}
+
+
+def family_gf(family: str, k: int, order: int) -> TruncSeries:
+    """The family's generating function sum_j t_j S_j at depth k, with
+    q-free S_j: w^j e^(-z t) for the Bernoulli type, v^j/j! exp(-z v) with
+    v = u and v = -u for the Cauchy types (see gf_poly_*). S_j starts at
+    t^j, so the t^n coefficient is sum_{j<=n} t_j [t^n] S_j."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    coeffs = _GF_T.get(family, ())
+    if len(coeffs) <= order:
+        bernoulli = family == "polyBernoulli"
+        if bernoulli:
+            arg = _rho_argument(order, factorial)
+            power = _exp_linear(order, -1)
+        else:
+            arg = _rho_argument(order, lambda n: n)
+            arg = arg if family == "polyCauchy1" else -arg
+            power = series_exp(arg.scale(ParamPoly.monomial(-1, z=1)))
+        series = [power]
+        for j in range(1, order + 1):
+            power = power * arg if bernoulli else (
+                (power * arg).scale(Fraction(1, j)))
+            series.append(power)
+        coeffs = _GF_T[family] = tuple(
+            tuple(s.coeffs[n] for s in series[:n + 1])
+            for n in range(order + 1))
+    return TruncSeries([specialize(c, k) for c in coeffs[:order + 1]])
+
+
 def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:
     """Exponential generating function of the Bernoulli-type family.
 
@@ -184,44 +221,21 @@ def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:
     where the bracket is the k-th q-polylogarithm of w divided by w,
     expanded pole-free.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    w = _rho_argument(order, factorial)
-    outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k))
-                         for j in range(order + 1)])
-    head = series_compose(outer, w)
-    return head * _exp_linear(order, -1)
-
-
-def _gf_cauchy(k: int, order: int, sign: int) -> TruncSeries:
-    """With u = log(1 + rho t)/rho, the Cauchy-type generating function
-
-        (1 + rho t)^(-sign z/rho) * sum_{j>=0} (sign u)^j / (j! [j+1]_q^k)
-
-    The prefactor is realized as exp(-sign z u), which keeps every
-    coefficient polynomial in rho and z.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    u = _rho_argument(order, lambda n: n)
-    outer = TruncSeries([ParamPoly.const(q_number_power_inverse(j, k)
-                                         * Fraction(1, factorial(j)))
-                         for j in range(order + 1)])
-    lif = series_compose(outer, u if sign > 0 else -u)
-    prefactor = series_exp(u.scale(ParamPoly.monomial(-sign, z=1)))
-    return lif * prefactor
+    return family_gf("polyBernoulli", k, order)
 
 
 def gf_poly_cauchy1(k: int, order: int) -> TruncSeries:
     """Exponential generating function of the first Cauchy-type family:
-    (1 + rho t)^(-z/rho) * sum_{j>=0} u^j / (j! [j+1]_q^k)."""
-    return _gf_cauchy(k, order, 1)
+    with u = log(1 + rho t)/rho, (1 + rho t)^(-z/rho) * sum_{j>=0} u^j /
+    (j! [j+1]_q^k). The prefactor is realized as exp(-z u), which keeps
+    every coefficient polynomial in rho and z."""
+    return family_gf("polyCauchy1", k, order)
 
 
 def gf_poly_cauchy2(k: int, order: int) -> TruncSeries:
     """Exponential generating function of the second Cauchy-type family:
     the mirror of the first kind, exp(z u) times the sum over (-u)^j."""
-    return _gf_cauchy(k, order, -1)
+    return family_gf("polyCauchy2", k, order)
 
 
 def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:

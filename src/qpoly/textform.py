@@ -52,6 +52,8 @@ def parse_qpoly(text: str) -> QPoly:
         if "*q^" in part:
             c, e = part.split("*q^")
             exponent = int(e)
+            if exponent < 0:
+                raise ValueError("negative q-exponent in %r" % part)
         else:
             c, exponent = part, 0
         c = Fraction(c)

@@ -153,6 +153,25 @@ def test_verify_stdout_is_pinned(capsys, scope):
     assert (digest, out.count("\n")) == PINNED_VERIFY[scope]
 
 
+# the same at full scale, the configured defaults: series order 12, n <= 10
+# (mixed n <= 8) for the identities, k in -2..3
+PINNED_VERIFY_FULL = {
+    "gf": ("da4ab9be7e0f0d1f4f73a1564f05f78f626b71c68f10eafe674ef0ba0c1edd58",
+           234),
+    "identities": (
+        "fa148fee1242d64b5e41140f5f4de4f910d4360b18de82c96dc4e050e64167f4",
+        556),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(PINNED_VERIFY_FULL))
+def test_full_verify_stdout_is_pinned(capsys, scope):
+    code, out = run_cli(capsys, "verify", "--scope", scope)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, out.count("\n")) == PINNED_VERIFY_FULL[scope]
+
+
 def test_verify_identities_scope(capsys):
     code, out = run_cli(capsys, "verify", "--scope", "identities",
                         "--nmax", "3", "--k", "0,1")

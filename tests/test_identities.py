@@ -10,6 +10,8 @@ from qpoly import (
     IDENTITY_IDS,
     IdentityReport,
     ParamPoly,
+    QPoly,
+    QRat,
     WeightedStirling,
     check_inverse_relations,
     check_kind_reciprocity,
@@ -122,15 +124,25 @@ def test_json_lines_carry_failure_witness():
 
 
 def _perturb_cauchy2(monkeypatch):
-    """Make the identities see g_n(z) + z^n in place of g_n(z)."""
-    true_value = identities.poly_cauchy2
-    monkeypatch.setattr(
-        identities, "poly_cauchy2",
-        lambda n, k, slot="z": true_value(n, k, slot)
-        + ParamPoly.monomial(1, z=n))
+    """Make the identities see g_n(z) + z^n in place of g_n(z). The checks
+    read each family in the t-basis through identities.family_t; t_0 = 1
+    at every k, so adding z^n to the t_0 component adds z^n to the value."""
+    true_value = identities.family_t
+
+    def perturbed(family, n, slot="z"):
+        value = true_value(family, n, slot)
+        if family != "polyCauchy2":
+            return value
+        return (value[0] + ParamPoly.monomial(1, z=n),) + value[1:]
+
+    monkeypatch.setattr(identities, "family_t", perturbed)
 
 
 def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
+    # the unpatched check runs first, so its t-differences are memoized;
+    # the patched call must still see the planted fault
+    assert [r.status for r in check_kind_reciprocity(2, 1)] == [
+        "verified", "verified"]
     _perturb_cauchy2(monkeypatch)
     reports = check_kind_reciprocity(2, 1)
     assert [r.status for r in reports] == ["failed", "failed"]
@@ -143,6 +155,21 @@ def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
     }
     for r in reports:
         assert parse_param_poly(r.witness) == expected[r.identity_id]
+
+
+def test_verdict_judges_the_t_difference_at_k():
+    # t_0 - t_1 = 1 - [2]_q^(-k) is nonzero with t formal but 0 at k = 0
+    def body(n):
+        return ((ParamPoly.const(1), ParamPoly.const(-1)),)
+
+    assert identities._verdicts(("T5_201",), 1, 0, body) == [
+        IdentityReport("T5_201", 1, 0, "verified")]
+    [failed] = identities._verdicts(("T5_201",), 1, 1, body)
+    assert failed.status == "failed"
+    # 1 - 1/(1 + q) = q/(1 + q)
+    assert failed.witness == "(1*q^1)/(1 + 1*q^1)"
+    assert parse_param_poly(failed.witness) == ParamPoly.const(
+        QRat(QPoly([0, 1]), QPoly([1, 1])))
 
 
 def test_orthogonality_failure_names_the_column(monkeypatch):

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 import oracles as O
+import qpoly.series as series
 from qpoly import (
     NonZeroConstantTerm,
     ParamPoly,
     TruncSeries,
     egf_coefficient,
     eval_at_q1,
+    family_gf,
     gf_poly_bernoulli,
     gf_poly_cauchy1,
     gf_poly_cauchy2,
@@ -106,6 +108,20 @@ def test_gf_equals_closed_form():
             s = gf(k, 7)
             for n in range(8):
                 assert egf_coefficient(s, n) == closed(n, k), (k, n)
+
+
+def test_gf_orders_share_their_coefficients(monkeypatch):
+    # the q-free coefficients are cached per family at the largest order
+    # built; a smaller order is a truncation, a larger one a rebuild
+    monkeypatch.setattr(series, "_GF_T", {})
+    for order in (3, 9, 5):
+        s = gf_poly_cauchy2(-1, order)
+        assert s.order == order
+        for n in range(order + 1):
+            assert egf_coefficient(s, n) == poly_cauchy2(n, -1), (order, n)
+    assert family_gf("polyCauchy2", -1, 5).coeffs == s.coeffs
+    with pytest.raises(ValueError):
+        family_gf("nosuch", 1, 2)
 
 
 def test_gf_limit_reproduces_classical_numbers():

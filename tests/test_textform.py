@@ -55,8 +55,12 @@ def test_param_poly_format_ordering():
 
 
 def test_parse_rejects_garbage():
+    # a negative q-exponent, which once indexed the coefficients from the end
+    for text in ("1 + frog", "1 + 2*q^-1", "1*q^-1"):
+        with pytest.raises(ValueError):
+            parse_qpoly(text)
     with pytest.raises(ValueError):
-        parse_qpoly("1 + frog")
+        parse_qrat("(1 + 2*q^-1)/(1)")
     with pytest.raises(ValueError):
         parse_qrat("(1/(1)")
     with pytest.raises(ValueError):
