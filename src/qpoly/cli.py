@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except (NonconvergedTruncation, DenominatorVanishes) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -80,22 +80,22 @@ def specialize(tvalue: Sequence[ParamPoly], k: int) -> ParamPoly:
 
 
 @lru_cache(maxsize=None)
-def poly_bernoulli(n: int, k: int, slot: str = "z") -> ParamPoly:
+def poly_bernoulli(n: int, k: int) -> ParamPoly:
     """Weighted second-kind Stirling sum for the Bernoulli-type family."""
-    return specialize(family_t("polyBernoulli", n, slot), k)
+    return specialize(family_t("polyBernoulli", n), k)
 
 
 @lru_cache(maxsize=None)
-def poly_cauchy1(n: int, k: int, slot: str = "z") -> ParamPoly:
+def poly_cauchy1(n: int, k: int) -> ParamPoly:
     """Weighted first-kind Stirling sum for the first Cauchy-type family."""
-    return specialize(family_t("polyCauchy1", n, slot), k)
+    return specialize(family_t("polyCauchy1", n), k)
 
 
 @lru_cache(maxsize=None)
-def poly_cauchy2(n: int, k: int, slot: str = "z") -> ParamPoly:
+def poly_cauchy2(n: int, k: int) -> ParamPoly:
     """Weighted first-kind Stirling sum for the second Cauchy-type family,
     with the weight taken at -z/rho and a global (-1)^n."""
-    return specialize(family_t("polyCauchy2", n, slot), k)
+    return specialize(family_t("polyCauchy2", n), k)
 
 
 def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
@@ -133,13 +133,13 @@ def poly_cauchy2_double_sum(n: int, k: int) -> ParamPoly:
     return _double_sum(n, k, False)
 
 
-def family_value(family: str, n: int, k: int, slot: str = "z") -> ParamPoly:
+def family_value(family: str, n: int, k: int) -> ParamPoly:
     if family == "polyBernoulli":
-        return poly_bernoulli(n, k, slot)
+        return poly_bernoulli(n, k)
     if family == "polyCauchy1":
-        return poly_cauchy1(n, k, slot)
+        return poly_cauchy1(n, k)
     if family == "polyCauchy2":
-        return poly_cauchy2(n, k, slot)
+        return poly_cauchy2(n, k)
     raise ValueError("unknown family %r" % family)
 
 

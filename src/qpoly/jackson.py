@@ -1,18 +1,19 @@
-"""Numeric oracle: truncated Jackson q-integrals on [0, 1].
+"""Numeric oracle: truncated Jackson q-integrals on [0, 1]^k.
 
-The infinite Jackson sum (1-q) sum_{i>=0} f(q^i) q^i is cut at a fixed
-number of nodes; the discarded tail of a bounded integrand is a geometric
-series, so its size is at most max|f| * q^T per integration level. This
-module is deliberately independent of the symbolic layer: plain floats,
-literal nested sums.
+The k-fold Jackson integral of f(x_1...x_k) is (1-q)^k times the sum of
+q^s f(q^s) over all index tuples, s = i_1 + ... + i_k. C(s+k-1, k-1)
+tuples share each s, so it is one sum over s, kept up to s = k(T-1) for
+T nodes per level. The weight ratio q(s+k)/(s+1) falls with s, so the
+dropped tail of a bounded integrand is at most a geometric series from
+the first dropped weight. This module is deliberately independent of
+the symbolic layer: plain floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 __all__ = [
     "NonconvergedTruncation",
@@ -47,52 +48,50 @@ class QuadResult(NamedTuple):
     tail_bound: float
 
 
+def _jackson_sum(f: Callable[[float], float], k: int,
+                 cfg: OracleConfig) -> QuadResult:
+    """(1-q)^k sum_{s=0}^{k(T-1)} C(s+k-1, k-1) q^s f(q^s), the k-fold
+    Jackson integral of f(x_1...x_k) at T nodes per level, and a bound
+    on the dropped tail (max|f| over the computed nodes)."""
+    q, s0 = cfg.q, k * (cfg.truncation - 1) + 1
+    nodes = [q ** s for s in range(s0)]
+    vals = [f(u) for u in nodes]
+    terms = [math.comb(s + k - 1, k - 1) * u * v
+             for s, (u, v) in enumerate(zip(nodes, vals))]
+    scale, r = (1.0 - q) ** k, q * (s0 + k) / (s0 + 1)
+    tail = (max(map(abs, vals)) * scale * math.comb(s0 + k - 1, k - 1)
+            * q ** s0 / (1.0 - r) if r < 1.0 else math.inf)
+    return QuadResult(scale * math.fsum(terms), tail)
+
+
 def jackson_integral_1d(f: Callable[[float], float],
                         cfg: OracleConfig) -> QuadResult:
     """Truncated Jackson integral of f over [0, 1] with its tail bound."""
-    nodes = cfg.q ** np.arange(cfg.truncation)
-    vals = np.array([f(x) for x in nodes], dtype=float)
-    value = (1.0 - cfg.q) * float(np.dot(vals, nodes))
-    tail = float(np.max(np.abs(vals))) * cfg.q ** cfg.truncation
-    return QuadResult(value, tail)
-
-
-def _falling_factorial(u: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones_like(u)
-    for i in range(n):
-        out = out * (u - i)
-    return out
+    return _jackson_sum(f, 1, cfg)
 
 
 def oracle_family(family: str, n: int, k: int, rho: float, z: float,
                   cfg: OracleConfig) -> float:
-    """Defining k-fold q-integral of one Cauchy-type value, evaluated by
-    literal truncated Jackson sums. Only k = 1 and k = 2 are supported;
-    this path exists to check the symbolic ones, not to replace them.
+    """Defining k-fold q-integral of one Cauchy-type value, for any k >= 1:
+    rho^n times the Jackson integral of the falling factorial of
+    (x_1...x_k - z)/rho (first kind) or (z - x_1...x_k)/rho (second).
+    This path exists to check the symbolic ones, not to replace them.
     """
     if family not in ("polyCauchy1", "polyCauchy2"):
         raise ValueError("the integral oracle covers the two Cauchy kinds")
-    if k not in (1, 2):
-        raise ValueError("oracle supports k = 1 or k = 2 only")
+    if k < 1:
+        raise ValueError("oracle needs k >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
-    nodes = cfg.q ** np.arange(cfg.truncation)
-    if k == 1:
-        u = nodes
-        weights = (1.0 - cfg.q) * nodes
-    else:
-        u = np.outer(nodes, nodes).ravel()
-        weights = ((1.0 - cfg.q) ** 2) * u
-    if family == "polyCauchy1":
-        arg = (u - z) / rho
-    else:
-        arg = (z - u) / rho
-    g = _falling_factorial(arg, n)
-    scale = rho ** n
-    tail = abs(scale) * float(np.max(np.abs(g))) * k * cfg.q ** cfg.truncation
+    den, scale = (rho if family == "polyCauchy1" else -rho), rho ** n
+    def falling(u: float) -> float:
+        a = (u - z) / den
+        return math.prod([a - i for i in range(n)])
+    value, tail = _jackson_sum(falling, k, cfg)
+    tail *= abs(scale)
     if tail > cfg.tolerance:
         raise NonconvergedTruncation(
             "tail bound %.3g exceeds tolerance %.3g" % (tail, cfg.tolerance))
-    return scale * float(np.dot(g, weights))
+    return scale * value

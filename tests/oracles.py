@@ -255,3 +255,32 @@ def jackson_integral_reference(f, q, terms):
         acc += f(p) * p
         p *= q
     return (1.0 - q) * acc
+
+
+def jackson_integral_2d_reference(f, q, terms):
+    """Plain-Python double Jackson integral of f(x y) on [0, 1]^2, the
+    literal nested sum (1-q)^2 sum_i sum_j f(q^i q^j) q^i q^j."""
+    nodes = [q ** i for i in range(terms)]
+    acc = 0.0
+    for x in nodes:
+        for y in nodes:
+            acc += f(x * y) * x * y
+    return (1.0 - q) ** 2 * acc
+
+
+def cauchy_integral_reference(family, n, k, rho, z, q, terms):
+    """A Cauchy-type value from its defining k-fold Jackson integral
+    (k = 1 or 2), by the literal nested sums above: rho^n times the
+    integral of the falling factorial of (u - z)/rho (first kind) or
+    (z - u)/rho (second kind), u the product of the integration
+    variables."""
+    def integrand(u):
+        a = (u - z) / rho if family == "polyCauchy1" else (z - u) / rho
+        out = 1.0
+        for i in range(n):
+            out *= a - i
+        return out
+
+    quad = {1: jackson_integral_reference,
+            2: jackson_integral_2d_reference}[k]
+    return rho ** n * quad(integrand, q, terms)

@@ -214,6 +214,15 @@ def test_oracle_subcommand(capsys):
     assert verdict["abs_err"] < 1e-9
 
 
+def test_oracle_takes_any_depth_from_one(capsys):
+    argv = ["oracle", "--family", "polyCauchy2", "--n", "3", "--q", "0.7"]
+    code, out = run_cli(capsys, *argv, "--k", "3")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[2])["status"] == "verified"
+    assert main(argv + ["--k", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
     cfg.write_text("# sweep size\nseries_order = 5\nk_range = 0,1\n")
@@ -248,6 +257,9 @@ VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
     ["verify", "--scope", "gf", "--nmax", "-1"],
     ["verify", "--scope", "gf", "--nmax", "2", "--k", "3,1"],
     ["verify", "--scope", "gf", "--nmax", "2", "--k", "1,2,3"],
+    # a depth whose weights C(s+k-1, k-1) pass the float range
+    ["oracle", "--family", "polyCauchy1", "--n", "2", "--k", "400",
+     "--q", "0.3"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2

@@ -10,6 +10,7 @@ from qpoly import (
     ParamPoly,
     classical_number,
     eval_at_q1,
+    family_t,
     family_value,
     format_param_poly,
     poly_bernoulli,
@@ -17,6 +18,7 @@ from qpoly import (
     poly_cauchy1_double_sum,
     poly_cauchy2,
     poly_cauchy2_double_sum,
+    specialize,
 )
 
 # limits of the three families at q -> 1, rho = 1, z = 0, depth k = 1,
@@ -136,7 +138,7 @@ def test_degrees():
 
 def test_slot_choice_moves_the_weight():
     for fam in FAMILIES:
-        v = family_value(fam, 3, 1, slot="y")
+        v = specialize(family_t(fam, 3, "y"), 1)
         assert v.degree_in("y") == 3
         assert v.degree_in("z") == 0
         base = family_value(fam, 3, 1)

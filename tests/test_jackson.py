@@ -1,10 +1,13 @@
 """Numeric path: truncated Jackson integrals as an outside check."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
 import oracles as O
+import qpoly.jackson as jackson
 from qpoly import (
     NonconvergedTruncation,
     OracleConfig,
@@ -49,9 +52,10 @@ def test_quadrature_matches_plain_python_reference():
 
 
 def test_closed_forms_match_oracle_grid():
+    # the criterion-5 grid, at every depth the nested sums cannot reach too
     for family in ("polyCauchy1", "polyCauchy2"):
-        for n in range(5):
-            for k in (1, 2):
+        for n in range(6):
+            for k in (1, 2, 3, 4):
                 closed = family_value(family, n, k)
                 for q in (0.3, 0.7):
                     cfg = OracleConfig(q=q)
@@ -63,12 +67,40 @@ def test_closed_forms_match_oracle_grid():
                                 (family, n, k, q, rho, z)
 
 
+def test_collapsed_sum_matches_literal_nested_sums():
+    # points of the criterion-5 grid; the k = 2 reference visits all
+    # 200^2 index pairs, so the grid is thinned to keep the test quick
+    for family in ("polyCauchy1", "polyCauchy2"):
+        for n in (1, 3, 5):
+            for k in (1, 2):
+                for q in (0.3, 0.7):
+                    cfg = OracleConfig(q=q, truncation=200)
+                    for rho, z in ((2.0, 0.0), (-0.5, 1.0 / 3.0)):
+                        got = oracle_family(family, n, k, rho, z, cfg)
+                        want = O.cauchy_integral_reference(
+                            family, n, k, rho, z, q, 200)
+                        assert got == pytest.approx(want, rel=1e-12), \
+                            (family, n, k, q, rho, z)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tail_bound_covers_the_dropped_nodes(k):
+    # q near 1 and a short truncation put the bound far above rounding
+    f = lambda u: 1.0 + u
+    short = jackson._jackson_sum(f, k, OracleConfig(q=0.9, truncation=40))
+    long = jackson._jackson_sum(f, k, OracleConfig(q=0.9, truncation=160))
+    assert short.tail_bound >= 1e-8
+    assert 0.0 < long.value - short.value <= short.tail_bound
+
+
 def test_oracle_rejects_unsupported_depth():
     cfg = OracleConfig(q=0.5)
     with pytest.raises(ValueError):
         oracle_family("polyCauchy1", 2, 0, 1.0, 0.0, cfg)
     with pytest.raises(ValueError):
         oracle_family("polyBernoulli", 2, 1, 1.0, 0.0, cfg)
+    with pytest.raises(ValueError):
+        oracle_family("polyCauchy1", 2, 1, 0.0, 0.0, cfg)
 
 
 def test_truncation_failure_is_loud():
@@ -85,3 +117,14 @@ def test_quad_result_shape():
     assert r.tail_bound >= 0.0
     value, tail = r
     assert value == r.value and tail == r.tail_bound
+
+
+def test_import_leaves_numpy_out():
+    # the oracle is plain Python; a fresh interpreter shows what
+    # importing the package pulls in
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpoly; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
