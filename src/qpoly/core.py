@@ -362,16 +362,9 @@ class QRat:
             return _QR_ZERO
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if d.degree > 0:
-            g = QPoly.gcd(a, d)
-            if g.degree > 0:
-                a = a.divexact(g)
-                d = d.divexact(g)
-        if b.degree > 0:
-            g = QPoly.gcd(c, b)
-            if g.degree > 0:
-                c = c.divexact(g)
-                b = b.divexact(g)
+        # a constant shares no factor, so only q-dependent pairs can cancel
+        if (d.degree > 0 and a.degree > 0) or (b.degree > 0 and c.degree > 0):
+            return QRat(a * c, b * d)
         return QRat._raw(a * c, b * d)
 
     __rmul__ = __mul__
@@ -393,12 +386,8 @@ class QRat:
         return self.evaluate(Fraction(1))
 
 
-_QR_ZERO = QRat.__new__(QRat)
-_QR_ZERO.num = _QP_ZERO
-_QR_ZERO.den = _QP_ONE
-_QR_ONE = QRat.__new__(QRat)
-_QR_ONE.num = _QP_ONE
-_QR_ONE.den = _QP_ONE
+_QR_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)
+_QR_ONE = QRat._raw(_QP_ONE, _QP_ONE)
 
 
 def _coerce_qrat(value):

@@ -145,5 +145,5 @@ def family_value(family: str, n: int, k: int) -> ParamPoly:
 
 def classical_number(family: str, n: int, k: int) -> Fraction:
     """Exact value at z = 0, rho = 1, q -> 1."""
-    v = family_value(family, n, k).substitute(rho=1, z=0, y=0)
+    v = family_value(family, n, k).at_q1().substitute(rho=1, z=0, y=0)
     return eval_at_q1(v.constant_term())

@@ -218,14 +218,13 @@ def _sort_key(r: IdentityReport):
 
 
 def run_identity_sweep(nmax: int = 10, nmax_mixed: int = 8,
-                       k_values: Sequence[int] = range(-2, 4),
-                       include_orthogonality: bool = True) -> list[IdentityReport]:
+                       k_values: Sequence[int] = range(-2, 4)
+                       ) -> list[IdentityReport]:
     """Run the whole catalogue and return reports sorted by
     (identity_id, n, k)."""
     reports: list[IdentityReport] = []
-    if include_orthogonality:
-        for n in range(nmax + 1):
-            reports.extend(check_orthogonality(n))
+    for n in range(nmax + 1):
+        reports.extend(check_orthogonality(n))
     for k in k_values:
         for n in range(nmax + 1):
             reports.extend(check_inverse_relations(n, k))

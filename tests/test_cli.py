@@ -4,15 +4,20 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from qpoly import (
+    ParamPoly,
     eval_numeric,
+    families,
     parse_param_poly,
     poly_bernoulli,
     poly_cauchy1,
     poly_cauchy2,
+    series,
 )
 from qpoly.cli import main
 
@@ -170,6 +175,38 @@ def test_full_verify_stdout_is_pinned(capsys, scope):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert (digest, out.count("\n")) == PINNED_VERIFY_FULL[scope]
+
+
+def test_verify_gf_works_in_the_t_basis(monkeypatch, capsys):
+    # the sweep must build no closed form and no series specialized at k
+    def refuse(*args):
+        raise AssertionError("the gf sweep left the t-basis")
+
+    for name in ("poly_bernoulli", "poly_cauchy1", "poly_cauchy2"):
+        monkeypatch.setattr(families, name, refuse)
+    for name in ("family_gf", "egf_coefficient"):
+        monkeypatch.setattr(series, name, refuse)
+    code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "4",
+                        "--k", "0,1")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, out.count("\n")) == PINNED_VERIFY["gf"]
+
+
+def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
+    # z^n/n! on the t_0 component of each t^n coefficient adds z^n to the
+    # n-th family value of the series at every k, since t_0 = 1
+    series.family_gf("polyCauchy2", 0, 12)
+    planted = tuple(
+        (c[0] + ParamPoly.monomial(F(1, factorial(n)), z=n),) + c[1:]
+        for n, c in enumerate(series._GF_T["polyCauchy2"]))
+    monkeypatch.setitem(series._GF_T, "polyCauchy2", planted)
+    code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
+                        "--k", "0,1")
+    assert code == 1
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["identity"] for r in recs if r["status"] == "failed"] == [
+        "GF_polyCauchy2"] * 8
 
 
 def test_verify_identities_scope(capsys):

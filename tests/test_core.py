@@ -110,6 +110,24 @@ def test_qrat_field_axioms(a, b, c):
         assert a * a.inverse() == QRat(1)
 
 
+q_dependent = int_polys.filter(lambda p: p.degree > 0)
+
+
+@given(p=int_polys, r=nonzero_polys, s=int_polys, t=nonzero_polys,
+       h=q_dependent)
+@settings(max_examples=150)
+def test_qrat_product_cancels_across_operands(p, r, s, t, h):
+    prod = QRat(p * h, r) * QRat(s, h * t)
+    assert prod.den.coeffs[-1] == 1
+    assert QPoly.gcd(prod.num, prod.den) == ONE_POLY
+    # r * h * t has degree at most 9, so one of ten points misses its roots
+    q = next(x for x in (F(j, 11) for j in range(1, 11))
+             if r.evaluate(x) and (h * t).evaluate(x))
+    want = (p * h).evaluate(q) / r.evaluate(q) * s.evaluate(q) / (
+        h * t).evaluate(q)
+    assert prod.evaluate(q) == want
+
+
 # --- ParamPoly --------------------------------------------------------------
 
 def test_param_poly_construction_and_terms():

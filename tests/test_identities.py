@@ -99,12 +99,6 @@ def test_sweep_order_is_deterministic():
     assert a == b
 
 
-def test_sweep_can_skip_orthogonality():
-    reports = run_identity_sweep(nmax=2, nmax_mixed=2, k_values=(1,),
-                                 include_orthogonality=False)
-    assert not any(r.identity_id.startswith("ORTHO") for r in reports)
-
-
 def test_json_lines_round_trip():
     reports = run_identity_sweep(nmax=2, nmax_mixed=1, k_values=(1,))
     text = reports_to_json_lines(reports)
