@@ -4,6 +4,8 @@ Subcommands: table (reference rows), value (one record), verify (symbolic
 and numeric sweeps, JSON lines), oracle (one numeric comparison). Output
 is deterministic byte for byte for a fixed invocation. Exit codes: 0 on
 success, 1 when a verification or comparison fails, 2 on usage errors.
+An oracle comparison passes when |closed - oracle| < tolerance *
+max(1, |closed|): the tolerance is relative for values of size above 1.
 """
 
 from __future__ import annotations
@@ -239,6 +241,14 @@ def _verify_identities(nmax: int, nmax_mixed: int,
              "status": r.status, "witness": r.witness} for r in reports]
 
 
+def _oracle_verdict(closed: float, numeric: float,
+                    tolerance: float) -> tuple[float, bool]:
+    """The absolute error, and whether it is below tolerance relative to
+    the closed form's size (absolute for values below 1 in size)."""
+    err = abs(closed - numeric)
+    return err, err < tolerance * max(1.0, abs(closed))
+
+
 def _verify_oracle(nmax: int, truncation: int, tolerance: float,
                    q_values) -> list[dict]:
     records = []
@@ -253,13 +263,13 @@ def _verify_oracle(nmax: int, truncation: int, tolerance: float,
                             closed = eval_numeric(family_value(family, n, k),
                                                   q=q, rho=rho, z=z, y=0.0)
                             numeric = oracle_family(family, n, k, rho, z, cfg)
-                            err = abs(closed - numeric)
+                            err, ok = _oracle_verdict(closed, numeric,
+                                                      tolerance)
                             records.append({
                                 "identity": "ORACLE_%s" % family,
                                 "n": n, "k": k, "q": q, "rho": rho, "z": z,
                                 "abs_err": err,
-                                "status": ("verified" if err < tolerance
-                                           else "failed"),
+                                "status": "verified" if ok else "failed",
                             })
     records.sort(key=lambda r: (r["identity"], r["n"], r["k"],
                                 r["q"], r["rho"], r["z"]))
@@ -311,8 +321,7 @@ def _cmd_oracle(args, out) -> int:
                                  closed, "closed_form")) + "\n")
     out.write(json.dumps(_record(args.family, args.n, args.k, vars_,
                                  numeric, "jackson_oracle")) + "\n")
-    err = abs(closed - numeric)
-    ok = err < ocfg.tolerance
+    err, ok = _oracle_verdict(closed, numeric, ocfg.tolerance)
     out.write(json.dumps({"abs_err": err, "tolerance": ocfg.tolerance,
                           "status": "verified" if ok else "failed"}) + "\n")
     return 0 if ok else 1

@@ -5,6 +5,11 @@ q is a formal indeterminate throughout this module. It is only ever bound
 to a number inside eval_numeric (floats in (0, 1)) and eval_at_q1 (exact
 substitution q = 1). Every value is immutable after construction, so
 instances may be shared freely, including between threads.
+
+A QPoly coefficient is an int when it is integral and a Fraction with
+denominator > 1 otherwise; no float is ever stored. Every family value has
+integral coefficients, so its arithmetic runs on plain ints. Divisions go
+through _div, which is exact.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ __all__ = [
     "q_number_power_inverse",
 ]
 
-# Arbitrary-precision rational scalars. fractions.Fraction already keeps
-# gcd(|numerator|, denominator) = 1 with denominator >= 1.
+# Arbitrary-precision rational scalars. Stored coefficients are normalized
+# by _exact: an integral value is an int, any other a Fraction (which keeps
+# gcd(|numerator|, denominator) = 1 with denominator > 1).
 Scalar = Union[int, Fraction]
 
 
@@ -34,12 +40,23 @@ class DenominatorVanishes(ZeroDivisionError):
     """A normalized denominator evaluates to zero at the requested point."""
 
 
-def _to_fraction(value: Scalar) -> Fraction:
+def _exact(value: Scalar) -> Scalar:
+    """value as a stored coefficient: an int if integral (a bool too), else
+    a Fraction; anything inexact is a TypeError."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError("expected an exact scalar, got %s" % type(value).__name__)
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, normalized as _exact does."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        if not rem:
+            return quot
+    return _exact(Fraction(a, b))
 
 
 def _power(base, e: int, one):
@@ -104,10 +121,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_to_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -122,8 +139,8 @@ class QPoly:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
@@ -163,20 +180,17 @@ class QPoly:
             elif len(other.coeffs) == 1:
                 other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
-            f = _to_fraction(other)
-            if not f:
+            if not other:
                 return _QP_ZERO
-            if f == 1:
+            if other == 1:
                 return self
-            out = QPoly()
-            out.coeffs = tuple(c * f for c in self.coeffs)
-            return out
+            return QPoly([c * other for c in self.coeffs])
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _QP_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -197,9 +211,9 @@ class QPoly:
         r = list(self.coeffs)
         dn = other.degree
         lc = other.leading
-        quot = [Fraction(0)] * max(len(r) - dn, 0)
+        quot = [0] * max(len(r) - dn, 0)
         while r and len(r) - 1 >= dn:
-            t = r[-1] / lc
+            t = _div(r[-1], lc)
             d = len(r) - 1 - dn
             quot[d] = t
             for i, oc in enumerate(other.coeffs):
@@ -214,7 +228,7 @@ class QPoly:
         lc = self.leading
         if not lc or lc == 1:
             return self
-        return self * (1 / lc)
+        return self * _div(1, lc)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction and float arguments."""
@@ -248,7 +262,7 @@ _QP_ONE = QPoly([1])
 def _as_qpoly(value: Union["QPoly", Scalar]) -> QPoly:
     if isinstance(value, QPoly):
         return value
-    return QPoly([_to_fraction(value)])
+    return QPoly([value])
 
 
 class QRat:
@@ -277,7 +291,7 @@ class QRat:
             den = den.divexact(g)
         lc = den.leading
         if lc != 1:
-            inv = 1 / lc
+            inv = _div(1, lc)
             num = num * inv
             den = den * inv
         self.num = num
@@ -372,18 +386,23 @@ class QRat:
     def inverse(self) -> "QRat":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        inv = 1 / self.num.leading
+        inv = _div(1, self.num.leading)
         return QRat._raw(self.den * inv, self.num * inv)
 
     def evaluate(self, q: Union[float, Fraction]):
         """Value at a float q, or exactly at a Fraction q."""
-        d = self.den.evaluate(q)
-        if d == 0:
-            raise DenominatorVanishes("denominator vanishes at q=%s" % q)
+        d = _denominator_at(self.den, q)
         return self.num.evaluate(q) / d
 
     def eval_at_q1(self) -> Fraction:
         return self.evaluate(Fraction(1))
+
+
+def _denominator_at(den: QPoly, q):
+    d = den.evaluate(q)
+    if d == 0:
+        raise DenominatorVanishes("denominator vanishes at q=%s" % q)
+    return d
 
 
 _QR_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)
@@ -394,10 +413,9 @@ def _coerce_qrat(value):
     if isinstance(value, QRat):
         return value
     if isinstance(value, (int, Fraction)):
-        f = _to_fraction(value)
-        if not f:
+        if not value:
             return _QR_ZERO
-        return QRat._raw(QPoly([f]), _QP_ONE)
+        return QRat._raw(QPoly([value]), _QP_ONE)
     if isinstance(value, QPoly):
         if value.is_zero():
             return _QR_ZERO
@@ -570,7 +588,7 @@ class ParamPoly:
             for i, v in enumerate(vals):
                 if v is not None:
                     if e[i]:
-                        c = c * (_to_fraction(v) ** e[i])
+                        c = c * (_exact(v) ** e[i])
                     ne[i] = 0
             pairs.append((tuple(ne), c))
         return ParamPoly._collect(pairs)
@@ -628,8 +646,12 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
         if value.degree_in(name) > 0 and supplied[i] is None:
             raise ValueError("value depends on %s; supply it" % name)
     total = 0.0
+    dens = {}   # terms share denominators: evaluate each one once
     for e, c in value.sorted_terms():
-        term = c.evaluate(q)
+        d = dens.get(c.den.coeffs)
+        if d is None:
+            d = dens[c.den.coeffs] = _denominator_at(c.den, q)
+        term = c.num.evaluate(q) / d
         if e[0]:
             term *= rho ** e[0]
         if e[1]:

@@ -47,7 +47,7 @@ def parse_qpoly(text: str) -> QPoly:
     text = text.strip()
     if text == "0":
         return QPoly.zero()
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     for part in text.split(" + "):
         if "*q^" in part:
             c, e = part.split("*q^")
@@ -56,11 +56,14 @@ def parse_qpoly(text: str) -> QPoly:
                 raise ValueError("negative q-exponent in %r" % part)
         else:
             c, exponent = part, 0
-        c = Fraction(c)
+        try:
+            c = int(c)
+        except ValueError:
+            # "1/2", "3.0" and "1e3" are rationals int() does not read
+            c = Fraction(c)
         # canonical text has each exponent once; input may repeat one
         coeffs[exponent] = coeffs[exponent] + c if exponent in coeffs else c
-    size = max(coeffs) + 1
-    out = [Fraction(0)] * size
+    out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
     return QPoly(out)
@@ -70,16 +73,21 @@ def format_qrat(r: QRat) -> str:
     return "(%s)/(%s)" % (format_qpoly(r.num), format_qpoly(r.den))
 
 
-def _term_coefficient(m: re.Match) -> QRat:
-    """Normalized, as input text need not be canonical."""
-    return QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
+def _term_coefficient(m: re.Match, dens: dict) -> QRat:
+    """Normalized, as input text need not be canonical. dens caches the
+    QPoly of each denominator text parsed so far, since terms share them."""
+    den_text = m.group("den")
+    den = dens.get(den_text)
+    if den is None:
+        den = dens[den_text] = parse_qpoly(den_text)
+    return QRat(parse_qpoly(m.group("num")), den)
 
 
 def parse_qrat(text: str) -> QRat:
     m = _TERM_RE.match(text.strip())
     if m is None or m.group("vars"):
         raise ValueError("not a canonical rational function: %r" % text)
-    return _term_coefficient(m)
+    return _term_coefficient(m, {})
 
 
 def format_param_poly(p: ParamPoly) -> str:
@@ -100,6 +108,7 @@ def parse_param_poly(text: str) -> ParamPoly:
     if text == "0":
         return ParamPoly.zero()
     pairs = []
+    dens: dict[str, QPoly] = {}
     for part in _TERM_SPLIT_RE.split(text):
         m = _TERM_RE.match(part)
         if m is None:
@@ -107,7 +116,7 @@ def parse_param_poly(text: str) -> ParamPoly:
         e = [0, 0, 0]
         for name, x in _VAR_RE.findall(m.group("vars")):
             e[ParamPoly.VARS.index(name)] += int(x)
-        pairs.append((tuple(e), _term_coefficient(m)))
+        pairs.append((tuple(e), _term_coefficient(m, dens)))
     return ParamPoly._collect(pairs)
 
 
@@ -115,7 +124,7 @@ def parse_param_poly(text: str) -> ParamPoly:
 # LaTeX rendering, for eyeball output only
 
 
-def _latex_fraction(c: Fraction) -> str:
+def _latex_fraction(c: int | Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     sign = "-" if c < 0 else ""

@@ -19,6 +19,7 @@ from qpoly import (
     poly_cauchy2,
     series,
 )
+from qpoly import cli
 from qpoly.cli import main
 
 
@@ -249,6 +250,31 @@ def test_oracle_subcommand(capsys):
     assert oracle["provenance_path"] == "jackson_oracle"
     assert verdict["status"] == "verified"
     assert verdict["abs_err"] < 1e-9
+
+
+def test_oracle_tolerance_is_relative_at_scale(capsys):
+    # the value is 5.4e9, so float rounding alone leaves an absolute error
+    # near 1e-6, far above the 1e-9 tolerance; relative to the value it is
+    # about 2e-16
+    code, out = run_cli(capsys, "oracle", "--family", "polyCauchy1",
+                        "--n", "12", "--k", "2", "--q", "0.7",
+                        "--rho", "2", "--z", "0.3")
+    assert code == 0
+    closed, _, verdict = [json.loads(l) for l in out.strip().splitlines()]
+    assert verdict["status"] == "verified"
+    assert verdict["tolerance"] < verdict["abs_err"]
+    assert verdict["abs_err"] < verdict["tolerance"] * abs(closed["value"])
+
+
+def test_oracle_verdict_rule():
+    verdict = cli._oracle_verdict
+    assert verdict(5e9, 5e9 + 1e-6, 1e-9)[1]
+    assert not verdict(5e9, 5e9 + 10.0, 1e-9)[1]
+    # below size 1 the tolerance stays absolute
+    assert verdict(1e-3, 1e-3 + 5e-10, 1e-9)[1]
+    assert not verdict(1e-3, 1e-3 + 2e-9, 1e-9)[1]
+    # the size is |closed|, so a negative value scales the bound too
+    assert verdict(-2.0, -2.0 - 1.5e-9, 1e-9)[1]
 
 
 def test_oracle_takes_any_depth_from_one(capsys):

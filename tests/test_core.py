@@ -13,6 +13,7 @@ from qpoly import (
     QRat,
     eval_at_q1,
     eval_numeric,
+    poly_bernoulli,
     q_number,
     q_number_power_inverse,
 )
@@ -80,6 +81,8 @@ def test_qrat_evaluate_denominator_root():
     r = QRat(1, QPoly([1, -2]))  # 1/(1 - 2q)
     with pytest.raises(DenominatorVanishes):
         r.evaluate(0.5)
+    with pytest.raises(DenominatorVanishes):
+        eval_numeric(ParamPoly.monomial(r, z=1), q=0.5, z=1.0)
 
 
 def test_eval_at_q1_simple_and_singular():
@@ -126,6 +129,51 @@ def test_qrat_product_cancels_across_operands(p, r, s, t, h):
     want = (p * h).evaluate(q) / r.evaluate(q) * s.evaluate(q) / (
         h * t).evaluate(q)
     assert prod.evaluate(q) == want
+
+
+# --- coefficient representation ---------------------------------------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+fraction_polys = st.lists(small_fractions, max_size=4).map(QPoly)
+nonzero_fraction_polys = fraction_polys.filter(lambda p: not p.is_zero())
+
+
+def _stored_exactly(p):
+    """Integral coefficients are ints, the others Fractions; no floats."""
+    return all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in p.coeffs)
+
+
+def test_integral_coefficients_are_ints():
+    assert QPoly([F(1, 2)]) * 2 == QPoly([1])
+    assert type((QPoly([F(1, 2)]) * 2).coeffs[0]) is int
+    # an integral product of two Fraction polynomials
+    prod = QPoly([F(1, 2), F(1, 2)]) * QPoly([2, -2])
+    assert prod.coeffs == (1, 0, -1)
+    assert all(type(c) is int for c in prod.coeffs)
+    r = QRat(QPoly([2, 4]), 3)
+    assert r.num.coeffs == (F(2, 3), F(4, 3))
+    assert r.den.coeffs == (1,) and type(r.den.coeffs[0]) is int
+    assert QPoly().leading == 0 and type(QPoly().leading) is int
+    assert type(QPoly([True]).coeffs[0]) is int
+    assert repr(QPoly([1, 1])) == "QPoly([1, 1])"
+    with pytest.raises(TypeError):
+        QPoly([0.5])
+
+
+@given(a=fraction_polys, b=nonzero_fraction_polys, s=small_fractions)
+@settings(max_examples=150)
+def test_kernel_stores_no_float(a, b, s):
+    prod = a * b
+    r = QRat(a, b)
+    values = [a, b, prod, a * s, -a, a + b, prod.divexact(b), b.monic(),
+              QPoly.gcd(a, b), r.num, r.den]
+    if not r.is_zero():
+        inv = r.inverse()
+        assert inv * r == QRat(1)
+        values += [inv.num, inv.den]
+    assert prod.divexact(b) == a
+    assert all(_stored_exactly(p) for p in values)
 
 
 # --- ParamPoly --------------------------------------------------------------
@@ -189,3 +237,19 @@ def test_eval_numeric_domain_checks():
     half = F(1, 2)
     want = float(exact.num.evaluate(half) / exact.den.evaluate(half))
     assert eval_numeric(p, q=0.5, rho=0.0, z=0.25) == want
+
+
+def test_eval_numeric_matches_the_per_term_sum_bit_for_bit():
+    # the terms share few denominators, which are evaluated once each
+    value = poly_bernoulli(25, 3)
+    assert len({c.den for c in value.terms.values()}) < len(value.terms)
+    q, rho, z = 0.7, 2.0, 0.33
+    total = 0.0
+    for e, c in value.sorted_terms():
+        term = c.evaluate(q)
+        if e[0]:
+            term *= rho ** e[0]
+        if e[1]:
+            term *= z ** e[1]
+        total += term
+    assert eval_numeric(value, q=q, rho=rho, z=z) == total

@@ -55,8 +55,10 @@ def test_param_poly_format_ordering():
 
 
 def test_parse_rejects_garbage():
-    # a negative q-exponent, which once indexed the coefficients from the end
-    for text in ("1 + frog", "1 + 2*q^-1", "1*q^-1"):
+    # garbage coefficients, and a negative q-exponent, which once indexed
+    # the coefficients from the end
+    for text in ("1 + frog", "1 + 2*q^-1", "1*q^-1", "abc", "", "0x10",
+                 "1__0"):
         with pytest.raises(ValueError):
             parse_qpoly(text)
     with pytest.raises(ValueError):
@@ -69,6 +71,18 @@ def test_parse_rejects_garbage():
                  "(1)/(1 + (2)/(1))*z^1", "(1 + (1)/(1)"):
         with pytest.raises(ValueError):
             parse_param_poly(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3", "+3", " 3", "-0", "1_0", "3.0", "1e3", "1/2", "\uff13", "-7*q^2"])
+def test_parse_reads_coefficients_as_fraction_does(text):
+    # int() reads the integers, Fraction() the rest; together they accept
+    # exactly what Fraction(str) alone accepts
+    coeff, _, power = text.partition("*q^")
+    want = QPoly([0] * int(power or 0) + [F(coeff)])
+    got = parse_qpoly(text)
+    assert got == want
+    assert all(type(c) is int or c.denominator > 1 for c in got.coeffs)
 
 
 def test_parse_accepts_non_canonical_input():
