@@ -164,7 +164,7 @@ def _evaluate(value: ParamPoly, args) -> tuple[dict, object, ParamPoly | None]:
                  "rho": str(rho) if rho is not None else "symbolic",
                  "z": str(z) if z is not None else "symbolic"}
         if out.is_constant():
-            return vars_, str(out.constant_term().eval_at_q1()), out
+            return vars_, str(out.constant_term()), out
         return vars_, format_param_poly(out), out
     if args.rho is not None or args.z is not None:
         raise ValueError("--rho/--z need --at-q1 or --q")

@@ -10,6 +10,12 @@ A QPoly coefficient is an int when it is integral and a Fraction with
 denominator > 1 otherwise; no float is ever stored. Every family value has
 integral coefficients, so its arithmetic runs on plain ints. Divisions go
 through _div, which is exact.
+
+A ParamPoly coefficient is either a q-free exact scalar (int or Fraction)
+or a QRat. q and k enter the families only through t_m = [m+1]_q^(-k), so
+the t-basis values, and every identity and generating-function difference
+built from them, hold scalars and never touch QPoly or QRat; QRats appear
+only where `families.specialize` binds the t_m.
 """
 
 from __future__ import annotations
@@ -173,8 +179,8 @@ class QPoly:
 
     def __mul__(self, other: Union["QPoly", Scalar]) -> "QPoly":
         if isinstance(other, QPoly):
-            # a degree-0 operand is a scalar factor; the weighted Stirling
-            # sums make nearly every product one of these
+            # a degree-0 operand (as in a q-free QRat) is a scalar factor;
+            # specialize, a q-free scalar times a t_m, passes the scalar
             if len(self.coeffs) == 1:
                 self, other = other, self.coeffs[0]
             elif len(other.coeffs) == 1:
@@ -312,6 +318,9 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
+
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
@@ -335,30 +344,11 @@ class QRat:
         other = _coerce_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b == d:
             return QRat(a + c, b)
-        g = QPoly.gcd(b, d)
-        if g.degree == 0:
-            num = a * d + c * b
-            if num.is_zero():
-                return _QR_ZERO
-            return QRat._raw(num, b * d)
-        b1 = b.divexact(g)
-        d1 = d.divexact(g)
-        t = a * d1 + c * b1
-        if t.is_zero():
-            return _QR_ZERO
-        g2 = QPoly.gcd(t, g)
-        if g2.degree > 0:
-            t = t.divexact(g2)
-            g = g.divexact(g2)
-        return QRat._raw(t, b1 * d1 * g)
+        return QRat(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -369,6 +359,9 @@ class QRat:
         return self + (-other)
 
     def __mul__(self, other) -> "QRat":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar shares no factor with the denominator
+            return QRat._raw(self.num * other, self.den) if other else _QR_ZERO
         other = _coerce_qrat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -413,23 +406,31 @@ def _coerce_qrat(value):
     if isinstance(value, QRat):
         return value
     if isinstance(value, (int, Fraction)):
-        if not value:
-            return _QR_ZERO
-        return QRat._raw(QPoly([value]), _QP_ONE)
+        value = QPoly([value])
     if isinstance(value, QPoly):
-        if value.is_zero():
-            return _QR_ZERO
         return QRat._raw(value, _QP_ONE)
     return NotImplemented
+
+
+def _coefficient(value) -> Scalar | QRat:
+    """value as a ParamPoly coefficient: an exact scalar as _exact stores
+    it, a QPoly lifted to a QRat; anything inexact is a TypeError."""
+    if isinstance(value, (QRat, QPoly)):
+        return _coerce_qrat(value)
+    return _exact(value)
 
 
 _EXPONENT_SLOTS = {"rho": 0, "z": 1, "y": 2}
 
 
 class ParamPoly:
-    """Sparse polynomial in (rho, z, y) with QRat coefficients.
+    """Sparse polynomial in (rho, z, y) with exact coefficients.
 
-    Terms map exponent triples (e_rho, e_z, e_y) to nonzero QRat values.
+    Terms map exponent triples (e_rho, e_z, e_y) to nonzero coefficients,
+    each a q-free scalar (int or Fraction) or a QRat (see the module
+    docstring). sorted_terms hands every coefficient out as a QRat, while
+    constant_term and coefficient return it as stored: maybe a scalar.
+
     The y slot is a second weight variable needed only by the mixed-weight
     identity checks; everywhere else its exponent stays 0. Instances are
     treated as immutable: all operations return new values.
@@ -439,13 +440,11 @@ class ParamPoly:
     VARS = ("rho", "z", "y")
 
     def __init__(self, terms: Mapping[tuple, object] | None = None) -> None:
-        out: dict[tuple[int, int, int], QRat] = {}
+        out: dict[tuple[int, int, int], Scalar | QRat] = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_qrat(c)
-                if c is NotImplemented:
-                    raise TypeError("coefficients must be QRat or exact scalars")
-                if c.is_zero():
+                c = _coefficient(c)
+                if not c:
                     continue
                 if len(e) != 3 or any(x < 0 for x in e):
                     raise ValueError("exponent key must be three nonnegative ints")
@@ -461,15 +460,15 @@ class ParamPoly:
     @classmethod
     def _collect(cls, pairs: Iterable,
                  terms: Mapping | tuple = ()) -> "ParamPoly":
-        """Add (exponent, QRat) pairs into a copy of terms by exponent. No
-        zero coefficient is stored: a zero pair is skipped and a sum that
-        cancels is dropped."""
+        """Add (exponent, coefficient) pairs into a copy of terms by
+        exponent. No zero coefficient is stored: a zero pair is skipped and
+        a sum that cancels is dropped."""
         out = dict(terms)
         for e, c in pairs:
             acc = out.get(e)
             if acc is not None:
                 c = acc + c
-            if not c.is_zero():
+            if c:
                 out[e] = c
             elif acc is not None:
                 del out[e]
@@ -481,19 +480,13 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value) -> "ParamPoly":
-        c = _coerce_qrat(value)
-        if c is NotImplemented:
-            raise TypeError("not an exact constant")
-        if c.is_zero():
-            return cls._raw({})
-        return cls._raw({(0, 0, 0): c})
+        c = _coefficient(value)
+        return cls._raw({(0, 0, 0): c} if c else {})
 
     @classmethod
     def monomial(cls, coeff, rho: int = 0, z: int = 0, y: int = 0) -> "ParamPoly":
-        c = _coerce_qrat(coeff)
-        if c is NotImplemented:
-            raise TypeError("not an exact coefficient")
-        if c.is_zero():
+        c = _coefficient(coeff)
+        if not c:
             return cls._raw({})
         if rho < 0 or z < 0 or y < 0:
             raise ValueError("negative exponent")
@@ -503,7 +496,7 @@ class ParamPoly:
     def var(cls, name: str) -> "ParamPoly":
         e = [0, 0, 0]
         e[_EXPONENT_SLOTS[name]] = 1
-        return cls._raw({tuple(e): _QR_ONE})
+        return cls._raw({tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -511,11 +504,11 @@ class ParamPoly:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0, 0, 0)}
 
-    def constant_term(self) -> QRat:
-        return self.terms.get((0, 0, 0), _QR_ZERO)
+    def constant_term(self) -> Scalar | QRat:
+        return self.terms.get((0, 0, 0), 0)
 
-    def coefficient(self, rho: int = 0, z: int = 0, y: int = 0) -> QRat:
-        return self.terms.get((rho, z, y), _QR_ZERO)
+    def coefficient(self, rho: int = 0, z: int = 0, y: int = 0) -> Scalar | QRat:
+        return self.terms.get((rho, z, y), 0)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of the named variable; -1 for the zero value."""
@@ -530,7 +523,8 @@ class ParamPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset((e, c) for e, c in self.terms.items()))
+        # as a QRat, since a scalar equals the q-free QRat of its value
+        return hash(frozenset(self.sorted_terms()))
 
     def __repr__(self) -> str:
         return "ParamPoly(%r)" % (self.terms,)
@@ -571,10 +565,8 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def scale(self, coeff) -> "ParamPoly":
-        c = _coerce_qrat(coeff)
-        if c is NotImplemented:
-            raise TypeError("not an exact scale factor")
-        if c.is_zero() or not self.terms:
+        c = _coefficient(coeff)
+        if not c or not self.terms:
             return ParamPoly._raw({})
         return ParamPoly._raw({e: v * c for e, v in self.terms.items()})
 
@@ -595,12 +587,14 @@ class ParamPoly:
 
     def at_q1(self) -> "ParamPoly":
         """Substitute q = 1 in every coefficient, keeping (rho, z, y) formal."""
-        return ParamPoly._collect((e, _coerce_qrat(c.eval_at_q1()))
-                                  for e, c in self.terms.items())
+        return ParamPoly._collect((e, c.eval_at_q1())
+                                  for e, c in self.sorted_terms())
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], QRat]]:
-        """Terms in ascending (e_rho, e_z, e_y) lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: item[0])
+        """Terms in ascending (e_rho, e_z, e_y) lexicographic order, each
+        coefficient as a QRat."""
+        return sorted(((e, _coerce_qrat(c)) for e, c in self.terms.items()),
+                      key=lambda item: item[0])
 
 
 def q_number(m: int) -> QPoly:
@@ -623,9 +617,9 @@ def q_number_power_inverse(m: int, k: int) -> QRat:
     return QRat._raw(base ** (-k), _QP_ONE)
 
 
-def eval_at_q1(value: QRat) -> Fraction:
-    """Exact substitution q = 1 into a canonical QRat."""
-    return value.eval_at_q1()
+def eval_at_q1(value: Union[QRat, Scalar]) -> Fraction:
+    """Exact substitution q = 1 into a canonical QRat or a q-free scalar."""
+    return _coerce_qrat(value).eval_at_q1()
 
 
 def eval_numeric(value, *, q: float, rho: float | None = None,

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ParamPoly, QRat, eval_at_q1, q_number_power_inverse
+from .core import ParamPoly, eval_at_q1, q_number_power_inverse
 from .stirling import (
     stirling1,
     substitute_weight,
@@ -71,10 +71,11 @@ def family_t(family: str, n: int, slot: str = "z") -> tuple[ParamPoly, ...]:
 
 
 def specialize(tvalue: Sequence[ParamPoly], k: int) -> ParamPoly:
-    """sum_m t_m tvalue[m] at t_m = [m+1]_q^(-k)."""
+    """sum_m t_m tvalue[m] at t_m = [m+1]_q^(-k); the q-free tvalue's
+    scalars become QRats here."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
-    return ParamPoly._collect((e, c * q_number_power_inverse(m, k))
+    return ParamPoly._collect((e, q_number_power_inverse(m, k) * c)
                               for m, p in enumerate(tvalue)
                               for e, c in p.terms.items())
 
@@ -113,7 +114,7 @@ def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
         outer = -s if (n - m if sign_by_m else n) % 2 else s
         for i in range(m + 1):
             c = outer * comb(m, i)
-            pairs[m - i].append(((n - m, i, 0), QRat(-c if i % 2 else c)))
+            pairs[m - i].append(((n - m, i, 0), -c if i % 2 else c))
     return specialize([ParamPoly._collect(p) for p in pairs], k)
 
 

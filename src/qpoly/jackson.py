@@ -39,8 +39,9 @@ class OracleConfig:
             raise ValueError("q must lie strictly between 0 and 1")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        # an infinite tolerance passes every comparison, a NaN none
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 class QuadResult(NamedTuple):
@@ -83,6 +84,8 @@ def oracle_family(family: str, n: int, k: int, rho: float, z: float,
         raise ValueError("oracle needs k >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not (math.isfinite(rho) and math.isfinite(z)):
+        raise ValueError("rho and z must be finite")
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
     den, scale = (rho if family == "polyCauchy1" else -rho), rho ** n

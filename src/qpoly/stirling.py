@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import ParamPoly, QRat
+from .core import ParamPoly
 
 __all__ = [
     "WeightedStirling",
@@ -132,7 +132,7 @@ class WeightedStirling:
         for i, c in enumerate(self.coeffs):
             if c:
                 e = (0, i, 0) if slot == "z" else (0, 0, i)
-                terms[e] = QRat(c)
+                terms[e] = c
         return ParamPoly._raw(terms)
 
 
@@ -185,5 +185,5 @@ def substitute_weight(w: WeightedStirling, sign: int,
             raise ValueError("weight degree exceeds n - m")
         val = c if sign == 1 or i % 2 == 0 else -c
         e = (gap - i, i, 0) if slot == "z" else (gap - i, 0, i)
-        terms[e] = QRat(val)
+        terms[e] = val
     return ParamPoly._raw(terms)

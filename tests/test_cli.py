@@ -11,8 +11,11 @@ import pytest
 
 from qpoly import (
     ParamPoly,
+    QPoly,
+    QRat,
     eval_numeric,
     families,
+    identities,
     parse_param_poly,
     poly_bernoulli,
     poly_cauchy1,
@@ -194,6 +197,27 @@ def test_verify_gf_works_in_the_t_basis(monkeypatch, capsys):
     assert (digest, out.count("\n")) == PINNED_VERIFY["gf"]
 
 
+@pytest.mark.parametrize("scope", sorted(PINNED_VERIFY))
+def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, scope):
+    # the t-basis values are q-free, so a proof that every difference is
+    # zero needs no gcd and no QRat arithmetic; the caches are emptied so
+    # that the t-basis values are rebuilt under the patches
+    def refuse(*args):
+        raise AssertionError("verification entered the q-kernel")
+
+    identities._t_differences.cache_clear()
+    families.family_t.cache_clear()
+    monkeypatch.setattr(series, "_GF_T", {})
+    monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
+    for name in ("__init__", "__mul__", "__add__"):
+        monkeypatch.setattr(QRat, name, refuse)
+    code, out = run_cli(capsys, "verify", "--scope", scope, "--nmax", "4",
+                        "--k", "0,1")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, out.count("\n")) == PINNED_VERIFY[scope]
+
+
 def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
     # z^n/n! on the t_0 component of each t^n coefficient adds z^n to the
     # n-th family value of the series at every k, since t_0 = 1
@@ -323,10 +347,32 @@ VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
     # a depth whose weights C(s+k-1, k-1) pass the float range
     ["oracle", "--family", "polyCauchy1", "--n", "2", "--k", "400",
      "--q", "0.3"],
+    ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+     "--q", "0.5", "--rho", "nan"],
+    ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+     "--q", "0.5", "--z", "inf"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    # with one node the oracle reads 0.0 against 0.152, which an infinite
+    # tolerance would call verified
+    "tolerance = inf\noracle_truncation = 1\n",
+    "tolerance = nan\n",
+])
+def test_config_tolerance_must_be_finite(tmp_path, capsys, text):
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text(text)
+    for argv in (["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+                  "--q", "0.5"],
+                 ["verify", "--scope", "oracle"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be positive and finite" in captured.err
 
 
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):

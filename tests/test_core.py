@@ -131,6 +131,30 @@ def test_qrat_product_cancels_across_operands(p, r, s, t, h):
     assert prod.evaluate(q) == want
 
 
+@given(p=int_polys, r=nonzero_polys, s=int_polys, t=nonzero_polys,
+       h=q_dependent)
+@settings(max_examples=150)
+def test_qrat_sum_cancels_across_operands(p, r, s, t, h):
+    total = QRat(p, r * h) + QRat(s, t * h)
+    assert total.den.coeffs[-1] == 1
+    assert QPoly.gcd(total.num, total.den) == ONE_POLY
+    # r * h * t has degree at most 9, so one of ten points misses its roots
+    q = next(x for x in (F(j, 11) for j in range(1, 11))
+             if (r * h).evaluate(x) and (t * h).evaluate(x))
+    want = p.evaluate(q) / (r * h).evaluate(q) + s.evaluate(q) / (
+        t * h).evaluate(q)
+    assert total.evaluate(q) == want
+
+
+def test_qrat_sums_that_cancel():
+    two = q_number(2)
+    # q/[2]_q + 1/[2]_q = 1
+    assert QRat(QPoly([0, 1]), two) + QRat(1, two) == QRat(1)
+    # 1/(q [2]_q) + 1/[2]_q = 1/q: the shared factor [2]_q cancels
+    assert QRat(1, QPoly([0, 1]) * two) + QRat(1, two) == QRat(
+        1, QPoly([0, 1]))
+
+
 # --- coefficient representation ---------------------------------------------
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -177,6 +201,43 @@ def test_kernel_stores_no_float(a, b, s):
 
 
 # --- ParamPoly --------------------------------------------------------------
+
+# each builds a one-term ParamPoly from a coefficient and reads it back
+COEFFICIENT_BUILDERS = {
+    "init": lambda v: ParamPoly({(0, 1, 0): v}).coefficient(z=1),
+    "const": lambda v: ParamPoly.const(v).constant_term(),
+    "monomial": lambda v: ParamPoly.monomial(v, z=1).coefficient(z=1),
+    "scale": lambda v: ParamPoly.var("z").scale(v).coefficient(z=1),
+}
+INV_2 = QRat(1, QPoly([1, 1]))
+
+
+@pytest.mark.parametrize("build", sorted(COEFFICIENT_BUILDERS))
+@pytest.mark.parametrize("value, stored", [
+    (3, 3), (True, 1), (F(1, 2), F(1, 2)), (F(4, 2), 2),
+    (QPoly([1, 1]), QRat(QPoly([1, 1]))), (INV_2, INV_2),
+    # a zero of any kind is not stored; the missing term reads 0
+    (0, 0), (F(0), 0), (QPoly(), 0), (QRat(0), 0),
+    (0.5, TypeError), (1.0, TypeError), ("1", TypeError),
+])
+def test_param_poly_coefficient_kinds(build, value, stored):
+    """Exact scalars are stored as scalars, a QPoly is lifted to a QRat,
+    and an inexact value is refused."""
+    if stored is TypeError:
+        with pytest.raises(TypeError):
+            COEFFICIENT_BUILDERS[build](value)
+        return
+    got = COEFFICIENT_BUILDERS[build](value)
+    assert got == stored and type(got) is type(stored)
+
+
+def test_param_poly_scalar_equals_q_free_qrat():
+    for value in (3, F(-1, 2)):
+        a, b = ParamPoly.const(value), ParamPoly.const(QRat(value))
+        assert a == b and hash(a) == hash(b)
+        assert a.sorted_terms() == b.sorted_terms()
+        assert type(a.sorted_terms()[0][1]) is QRat
+
 
 def test_param_poly_construction_and_terms():
     p = ParamPoly.monomial(F(3), rho=1, z=2) + ParamPoly.const(F(1, 2))

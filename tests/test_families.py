@@ -8,8 +8,10 @@ import oracles as O
 from qpoly import (
     FAMILIES,
     ParamPoly,
+    QRat,
     classical_number,
     eval_at_q1,
+    family_gf_t,
     family_t,
     family_value,
     format_param_poly,
@@ -19,6 +21,9 @@ from qpoly import (
     poly_cauchy2,
     poly_cauchy2_double_sum,
     specialize,
+    substitute_weight,
+    weighted_stirling1,
+    weighted_stirling2,
 )
 
 # limits of the three families at q -> 1, rho = 1, z = 0, depth k = 1,
@@ -144,6 +149,26 @@ def test_slot_choice_moves_the_weight():
         base = family_value(fam, 3, 1)
         remapped = {(r, 0, ze): c for (r, ze, _), c in base.sorted_terms()}
         assert dict(v.sorted_terms()) == remapped
+
+
+def _kinds(values):
+    return {type(c) for p in values for c in p.terms.values()}
+
+
+def test_t_basis_is_q_free_and_specialize_binds_q():
+    sign_slots = [(1, "z"), (-1, "z"), (1, "y"), (-1, "y")]
+    weights = [substitute_weight(table(5, m), sign, slot)
+               for table in (weighted_stirling1, weighted_stirling2)
+               for m in range(6) for sign, slot in sign_slots]
+    assert _kinds(weights) == {int}
+    for fam in FAMILIES:
+        tvalues = [p for n in range(7) for p in family_t(fam, n)]
+        assert _kinds(tvalues) == {int}
+        gf = family_gf_t(fam, 6)
+        assert _kinds(c for entry in gf for c in entry) <= {int, F}
+        for k in (-1, 0, 2):
+            assert _kinds([specialize(family_t(fam, 5), k)]) == {QRat}
+            assert _kinds([specialize(gf[4], k)]) == {QRat}
 
 
 def test_two_forms_agree():

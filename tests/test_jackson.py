@@ -28,8 +28,10 @@ def test_config_validation():
         OracleConfig(q=1.0)
     with pytest.raises(ValueError):
         OracleConfig(q=0.5, truncation=0)
-    with pytest.raises(ValueError):
-        OracleConfig(q=0.5, tolerance=0.0)
+    # an infinite tolerance would pass every comparison, a NaN fail them all
+    for tolerance in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OracleConfig(q=0.5, tolerance=tolerance)
 
 
 def test_monomial_rule():
@@ -101,6 +103,13 @@ def test_oracle_rejects_unsupported_depth():
         oracle_family("polyBernoulli", 2, 1, 1.0, 0.0, cfg)
     with pytest.raises(ValueError):
         oracle_family("polyCauchy1", 2, 1, 0.0, 0.0, cfg)
+
+
+@pytest.mark.parametrize("rho, z", [(math.nan, 0.0), (1.0, math.inf),
+                                    (-math.inf, 0.5), (1.0, math.nan)])
+def test_oracle_rejects_non_finite_parameters(rho, z):
+    with pytest.raises(ValueError):
+        oracle_family("polyCauchy1", 3, 1, rho, z, OracleConfig(q=0.5))
 
 
 def test_truncation_failure_is_loud():
