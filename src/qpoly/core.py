@@ -178,13 +178,6 @@ class QPoly:
         return out
 
     def __mul__(self, other: Union["QPoly", Scalar]) -> "QPoly":
-        if isinstance(other, QPoly):
-            # a degree-0 operand (as in a q-free QRat) is a scalar factor;
-            # specialize, a q-free scalar times a t_m, passes the scalar
-            if len(self.coeffs) == 1:
-                self, other = other, self.coeffs[0]
-            elif len(other.coeffs) == 1:
-                other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _QP_ZERO
@@ -291,10 +284,12 @@ class QRat:
             self.num = _QP_ZERO
             self.den = _QP_ONE
             return
-        g = QPoly.gcd(num, den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
+        # a constant shares no factor, so only q-dependent pairs can cancel
+        if num.degree > 0 and den.degree > 0:
+            g = QPoly.gcd(num, den)
+            if g.degree > 0:
+                num = num.divexact(g)
+                den = den.divexact(g)
         lc = den.leading
         if lc != 1:
             inv = _div(1, lc)
@@ -437,7 +432,6 @@ class ParamPoly:
     """
 
     __slots__ = ("terms",)
-    VARS = ("rho", "z", "y")
 
     def __init__(self, terms: Mapping[tuple, object] | None = None) -> None:
         out: dict[tuple[int, int, int], Scalar | QRat] = {}
@@ -593,8 +587,8 @@ class ParamPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], QRat]]:
         """Terms in ascending (e_rho, e_z, e_y) lexicographic order, each
         coefficient as a QRat."""
-        return sorted(((e, _coerce_qrat(c)) for e, c in self.terms.items()),
-                      key=lambda item: item[0])
+        # exponent keys are unique, so the sort never compares coefficients
+        return [(e, _coerce_qrat(c)) for e, c in sorted(self.terms.items())]
 
 
 def q_number(m: int) -> QPoly:

@@ -1,8 +1,21 @@
 """Canonical and LaTeX text forms for symbolic values.
 
-The canonical form is deterministic and round-trips exactly: terms are
-ordered by ascending (e_rho, e_z, e_y), each coefficient is printed as
-"(num)/(den)" with q-powers ascending and every exponent explicit.
+The canonical text is deterministic and round-trips exactly:
+
+- a QPoly is its nonzero terms in ascending powers of q joined by " + ":
+  "c" for q^0 and "c*q^e" for e >= 1, each c an int or a reduced "a/b";
+  the zero polynomial is "0";
+- a QRat is "(num)/(den)" with den monic and coprime to num, and every
+  ParamPoly term is written so, even when den is 1;
+- a ParamPoly term is its "(num)/(den)" followed by "*rho^a", "*z^b" and
+  "*y^c" in that order, for the exponents >= 1 only; terms are joined by
+  " + " in ascending (a, b, c) order, and the zero value is "0".
+
+parse_* also accept non-canonical input and normalize it: q-powers,
+variables and terms in any order or repeated (they add up), coefficients
+in any spelling Fraction(str) reads ("2/4", "3.0", "1e3"), denominators
+that are not monic, and pairs that are not reduced, which QRat cancels
+with the PRS gcd.
 """
 
 from __future__ import annotations
@@ -10,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import ParamPoly, QPoly, QRat
+from .core import _EXPONENT_SLOTS, ParamPoly, QPoly, QRat
 
 __all__ = [
     "format_param_poly",
@@ -35,37 +48,27 @@ _TERM_SPLIT_RE = re.compile(r" \+ (?=\()")
 def format_qpoly(p: QPoly) -> str:
     if p.is_zero():
         return "0"
-    parts = []
-    for e, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        parts.append(str(c) if e == 0 else "%s*q^%d" % (c, e))
-    return " + ".join(parts)
+    return " + ".join([str(c) if not e else "%s*q^%d" % (c, e)
+                       for e, c in enumerate(p.coeffs) if c])
 
 
 def parse_qpoly(text: str) -> QPoly:
-    text = text.strip()
-    if text == "0":
-        return QPoly.zero()
-    coeffs: dict[int, int | Fraction] = {}
-    for part in text.split(" + "):
-        if "*q^" in part:
-            c, e = part.split("*q^")
-            exponent = int(e)
-            if exponent < 0:
-                raise ValueError("negative q-exponent in %r" % part)
-        else:
-            c, exponent = part, 0
+    out: list[int | Fraction] = []
+    for part in text.strip().split(" + "):
+        c, sep, e = part.partition("*q^")
+        exponent = int(e) if sep else 0
         try:
             c = int(c)
         except ValueError:
             # "1/2", "3.0" and "1e3" are rationals int() does not read
             c = Fraction(c)
-        # canonical text has each exponent once; input may repeat one
-        coeffs[exponent] = coeffs[exponent] + c if exponent in coeffs else c
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
+        if exponent == len(out):    # as canonical text has it
+            out.append(c)
+        elif exponent < 0:
+            raise ValueError("negative q-exponent in %r" % part)
+        else:                       # input may skip or repeat an exponent
+            out.extend([0] * (exponent + 1 - len(out)))
+            out[exponent] += c
     return QPoly(out)
 
 
@@ -73,33 +76,25 @@ def format_qrat(r: QRat) -> str:
     return "(%s)/(%s)" % (format_qpoly(r.num), format_qpoly(r.den))
 
 
-def _term_coefficient(m: re.Match, dens: dict) -> QRat:
-    """Normalized, as input text need not be canonical. dens caches the
-    QPoly of each denominator text parsed so far, since terms share them."""
-    den_text = m.group("den")
-    den = dens.get(den_text)
-    if den is None:
-        den = dens[den_text] = parse_qpoly(den_text)
-    return QRat(parse_qpoly(m.group("num")), den)
-
-
 def parse_qrat(text: str) -> QRat:
     m = _TERM_RE.match(text.strip())
     if m is None or m.group("vars"):
         raise ValueError("not a canonical rational function: %r" % text)
-    return _term_coefficient(m, {})
+    return QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
 
 
 def format_param_poly(p: ParamPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e, c in p.sorted_terms():
-        piece = format_qrat(c)
-        for name, exponent in zip(ParamPoly.VARS, e):
-            if exponent:
-                piece += "*%s^%d" % (name, exponent)
-        parts.append(piece)
+    dens: dict[tuple, str] = {}   # terms share denominators: render once
+    for (rho, z, y), c in p.sorted_terms():
+        den = dens.get(c.den.coeffs)
+        if den is None:
+            den = dens[c.den.coeffs] = format_qpoly(c.den)
+        parts.append("(%s)/(%s)%s%s%s" % (
+            format_qpoly(c.num), den, "*rho^%d" % rho if rho else "",
+            "*z^%d" % z if z else "", "*y^%d" % y if y else ""))
     return " + ".join(parts)
 
 
@@ -108,15 +103,20 @@ def parse_param_poly(text: str) -> ParamPoly:
     if text == "0":
         return ParamPoly.zero()
     pairs = []
-    dens: dict[str, QPoly] = {}
+    dens: dict[str, QPoly] = {}   # terms share denominators: parse once
     for part in _TERM_SPLIT_RE.split(text):
         m = _TERM_RE.match(part)
         if m is None:
             raise ValueError("not a canonical term: %r" % part)
+        num, den_text, vars_ = m.groups()
         e = [0, 0, 0]
-        for name, x in _VAR_RE.findall(m.group("vars")):
-            e[ParamPoly.VARS.index(name)] += int(x)
-        pairs.append((tuple(e), _term_coefficient(m, dens)))
+        for name, x in _VAR_RE.findall(vars_):
+            e[_EXPONENT_SLOTS[name]] += int(x)
+        den = dens.get(den_text)
+        if den is None:
+            den = dens[den_text] = parse_qpoly(den_text)
+        # normalized, as input text need not be canonical
+        pairs.append((tuple(e), QRat(parse_qpoly(num), den)))
     return ParamPoly._collect(pairs)
 
 

@@ -357,6 +357,32 @@ def test_usage_errors_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    VALUE_ARGS + ["--n", str(cli.N_LIMIT + 1)],
+    ["table", "polyBernoulli", "--nmax", str(cli.N_LIMIT + 1), "--k", "1"],
+    ["verify", "--scope", "identities", "--nmax", str(cli.N_LIMIT + 1)],
+    ["oracle", "--family", "polyCauchy1", "--n", str(cli.N_LIMIT + 1),
+     "--k", "1", "--q", "0.5"],
+])
+def test_sizes_beyond_the_limit_are_refused_before_any_build(
+        monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    for name in ("family_value", "family_t", "family_gf_t",
+                 "run_identity_sweep", "oracle_family"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_the_size_limit_itself_is_accepted(capsys):
+    code, out = run_cli(capsys, *VALUE_ARGS, "--n", str(cli.N_LIMIT))
+    assert code == 0
+    assert parse_param_poly(json.loads(out)["value"]) \
+        == poly_bernoulli(cli.N_LIMIT, 1)
+
+
 @pytest.mark.parametrize("text", [
     # with one node the oracle reads 0.0 against 0.152, which an infinite
     # tolerance would call verified

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpoly import (
@@ -93,6 +93,10 @@ def test_eval_at_q1_simple_and_singular():
 
 @given(num=int_polys, den=nonzero_polys, h=nonzero_polys)
 @settings(max_examples=150)
+# one side constant, the other with a leading coefficient other than 1:
+# no gcd is needed, but the denominator must still be made monic
+@example(num=QPoly([1, 2]), den=QPoly([3]), h=QPoly([1, 1]))
+@example(num=QPoly([5]), den=QPoly([2, 4]), h=QPoly([-2, 0, 3]))
 def test_qrat_canonical_form(num, den, h):
     r = QRat(num, den)
     # common factors never survive construction

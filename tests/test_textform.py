@@ -1,5 +1,6 @@
 """Canonical text round-trips for the three value kinds."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpoly import (
+    FAMILIES,
     ParamPoly,
     QPoly,
     QRat,
     format_param_poly,
     format_qpoly,
     format_qrat,
+    family_value,
     latex_param_poly,
     latex_qrat,
     parse_param_poly,
@@ -131,6 +134,35 @@ def test_family_values_round_trip(value):
     text = format_param_poly(value)
     assert "*q^1 + " in text
     assert parse_param_poly(text) == value
+
+
+# sha256 of the canonical texts of every (family, n <= 12, k in -2..3)
+# value, joined by newlines in that order
+CANONICAL_TEXT_SHA256 = \
+    "e2fe194de004042c38dd9c2c1701bb1531c4e90aff1447a1f768c9f3b5bbf722"
+
+
+def test_canonical_text_is_pinned():
+    values = [family_value(family, n, k) for family in FAMILIES
+              for n in range(13) for k in range(-2, 4)]
+    texts = [format_param_poly(v) for v in values]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == CANONICAL_TEXT_SHA256
+    for text, value in zip(texts, values):
+        assert parse_param_poly(text) == value
+
+
+@pytest.mark.parametrize("family", ["polyBernoulli", "polyCauchy2"])
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_canonical_text_round_trips_without_a_gcd(monkeypatch, family, k):
+    # each canonical term pairs a constant with a q-number power, which
+    # shares no factor with it, so parsing never needs the PRS gcd
+    def refuse(*args):
+        raise AssertionError("parsing canonical text entered QPoly.gcd")
+
+    value = family_value(family, 10, k)
+    monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
+    assert parse_param_poly(format_param_poly(value)) == value
 
 
 def test_zero_values_round_trip():
