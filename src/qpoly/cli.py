@@ -36,9 +36,10 @@ DEFAULT_CONFIG = {
     "nmax_oracle": 5,
 }
 
-# The largest --n (value, oracle) and --nmax (table, verify) accepted. At
-# n = 50 one value builds and formats in about 0.1 s (3 MB of text at
-# k = -2); at n = 100 it takes 0.7 s and 50 MB.
+# The largest --n (value, oracle) and --nmax (table, verify, and the n
+# bounds in a verify config) accepted. At n = 50 one value builds and
+# formats in about 0.1 s (3 MB of text at k = -2); at n = 100 it takes
+# 0.7 s and 50 MB.
 N_LIMIT = 50
 
 
@@ -289,6 +290,9 @@ def _verify_oracle(nmax: int, truncation: int, tolerance: float,
 
 def _cmd_verify(args, out) -> int:
     cfg = _get_config(args)
+    for key in ("series_order", "nmax_identities", "nmax_mixed",
+                "nmax_oracle"):
+        _check_n(key, cfg[key])
     if args.nmax is not None:
         _check_n("--nmax", args.nmax)
         nmax_gf = args.nmax

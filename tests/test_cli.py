@@ -376,6 +376,13 @@ def test_sizes_beyond_the_limit_are_refused_before_any_build(
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_config_sizes_beyond_the_limit_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("series_order = %d\n" % (cli.N_LIMIT + 1))
+    assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_the_size_limit_itself_is_accepted(capsys):
     code, out = run_cli(capsys, *VALUE_ARGS, "--n", str(cli.N_LIMIT))
     assert code == 0
