@@ -41,12 +41,17 @@ DEFAULT_CONFIG = {
 # formats in about 0.1 s (3 MB of text at k = -2); at n = 100 it takes
 # 0.7 s and 50 MB.
 N_LIMIT = 50
+# The largest |--k| (and |k| in a verify config's k_range) accepted: the
+# q-degree of [m+1]_q^k grows with n*|k|. At n = 50, k = -10 one value takes
+# about 0.4 s and 17 MB of text, and table --nmax 50 prints 177 MB.
+K_LIMIT = 10
 
 
-def _check_n(flag: str, n: int) -> None:
-    """Refuse a size outside 0..N_LIMIT before any value is built."""
-    if not 0 <= n <= N_LIMIT:
-        raise ValueError("%s must lie in 0..%d, got %d" % (flag, N_LIMIT, n))
+def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
+    """Refuse a size or depth outside lo..hi before any value is built."""
+    for v in values:
+        if not lo <= v <= hi:
+            raise ValueError("%s must lie in %d..%d, got %d" % (flag, lo, hi, v))
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -213,7 +218,8 @@ def _cmd_values(args, out) -> int:
         flag, last, ns = "--nmax", args.nmax, range(args.nmax + 1)
     else:
         flag, last, ns = "--n", args.n, (args.n,)
-    _check_n(flag, last)
+    _check_bounds(flag, 0, N_LIMIT, last)
+    _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     records = []
     for n in ns:
         value = family_value(args.family, n, args.k)
@@ -292,15 +298,17 @@ def _cmd_verify(args, out) -> int:
     cfg = _get_config(args)
     for key in ("series_order", "nmax_identities", "nmax_mixed",
                 "nmax_oracle"):
-        _check_n(key, cfg[key])
+        _check_bounds(key, 0, N_LIMIT, cfg[key])
     if args.nmax is not None:
-        _check_n("--nmax", args.nmax)
+        _check_bounds("--nmax", 0, N_LIMIT, args.nmax)
         nmax_gf = args.nmax
         nmax_ids = args.nmax
     else:
         nmax_gf = cfg["series_order"]
         nmax_ids = cfg["nmax_identities"]
     k_range = _parse_k_range(args.k) if args.k is not None else cfg["k_range"]
+    _check_bounds("--k" if args.k is not None else "k_range",
+                  -K_LIMIT, K_LIMIT, *k_range)
     q_values = (args.q,) if args.q is not None else (0.3, 0.7)
 
     records: list[dict] = []
@@ -324,7 +332,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    _check_n("--n", args.n)
+    _check_bounds("--n", 0, N_LIMIT, args.n)
+    _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     cfg = _get_config(args)
     ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
                         tolerance=cfg["tolerance"])

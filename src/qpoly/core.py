@@ -9,7 +9,9 @@ instances may be shared freely, including between threads.
 A QPoly coefficient is an int when it is integral and a Fraction with
 denominator > 1 otherwise; no float is ever stored. Every family value has
 integral coefficients, so its arithmetic runs on plain ints. Divisions go
-through _div, which is exact.
+through _div, which is exact. A scalar product cross-cancels integer
+numerators and denominators and builds a Fraction only for a non-integral
+result. QPoly._raw trusts its input: trimmed, normalized coefficients.
 
 A ParamPoly coefficient is either a q-free exact scalar (int or Fraction)
 or a QRat. q and k enter the families only through t_m = [m+1]_q^(-k), so
@@ -133,6 +135,13 @@ class QPoly:
         self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
+    def _raw(cls, coeffs: tuple) -> "QPoly":
+        """Trusted constructor: coeffs already trimmed and normalized."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "QPoly":
         return _QP_ZERO
 
@@ -173,9 +182,7 @@ class QPoly:
         return QPoly(out)
 
     def __neg__(self) -> "QPoly":
-        out = QPoly()
-        out.coeffs = tuple(-c for c in self.coeffs)
-        return out
+        return QPoly._raw(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Union["QPoly", Scalar]) -> "QPoly":
         if isinstance(other, (int, Fraction)):
@@ -183,7 +190,19 @@ class QPoly:
                 return _QP_ZERO
             if other == 1:
                 return self
-            return QPoly([c * other for c in self.coeffs])
+            # cross-cancel integer numerators and denominators (Knuth,
+            # TAOCP 4.5.1); a nonzero scalar keeps the result trimmed
+            sn, sd = other.as_integer_ratio()
+            out = []
+            for c in self.coeffs:
+                if sd == 1 and type(c) is int:
+                    out.append(c * sn)
+                    continue
+                cn, cd = c.as_integer_ratio()
+                g, h = math.gcd(cn, sd), math.gcd(sn, cd)
+                num, den = (cn // g) * (sn // h), (cd // h) * (sd // g)
+                out.append(num if den == 1 else Fraction(num, den))
+            return QPoly._raw(tuple(out))
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ParamPoly, eval_at_q1, q_number_power_inverse
+from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact, eval_at_q1,
+                   q_number_power_inverse)
 from .stirling import (
     stirling1,
     substitute_weight,
@@ -72,12 +73,23 @@ def family_t(family: str, n: int, slot: str = "z") -> tuple[ParamPoly, ...]:
 
 def specialize(tvalue: Sequence[ParamPoly], k: int) -> ParamPoly:
     """sum_m t_m tvalue[m] at t_m = [m+1]_q^(-k); the q-free tvalue's
-    scalars become QRats here."""
+    scalars become QRats here (a QRat in tvalue is a TypeError).
+
+    Each t_m is looked up once, and an empty tvalue[m] is skipped, so a
+    t-difference that vanishes looks none up."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
-    return ParamPoly._collect((e, q_number_power_inverse(m, k) * c)
-                              for m, p in enumerate(tvalue)
-                              for e, c in p.terms.items())
+    pairs = []
+    for m, p in enumerate(tvalue):
+        if not p.terms:
+            continue
+        t = q_number_power_inverse(m, k)
+        # k >= 0: a nonzero constant over a monic q-number power is canonical
+        over = t.num.coeffs == (1,)
+        pairs += [(e, QRat._raw(QPoly._raw((_exact(c),)), t.den) if over
+                   else QRat._raw(t.num * _exact(c), _QP_ONE))
+                  for e, c in p.terms.items()]
+    return ParamPoly._collect(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -153,7 +153,7 @@ def series_exp(f: TruncSeries) -> TruncSeries:
 
 def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
     """n! times the t^n coefficient."""
-    return series.coefficient(n).scale(Fraction(factorial(n)))
+    return series.coefficient(n).scale(factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,8 @@ VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
     ["verify", "--scope", "gf", "--nmax", "-1"],
     ["verify", "--scope", "gf", "--nmax", "2", "--k", "3,1"],
     ["verify", "--scope", "gf", "--nmax", "2", "--k", "1,2,3"],
-    # a depth whose weights C(s+k-1, k-1) pass the float range
+    # a depth past cli.K_LIMIT, whose Jackson weights C(s+k-1, k-1) would
+    # also pass the float range (see test_jackson)
     ["oracle", "--family", "polyCauchy1", "--n", "2", "--k", "400",
      "--q", "0.3"],
     ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
@@ -363,17 +364,30 @@ def test_usage_errors_exit_2(capsys, argv):
     ["verify", "--scope", "identities", "--nmax", str(cli.N_LIMIT + 1)],
     ["oracle", "--family", "polyCauchy1", "--n", str(cli.N_LIMIT + 1),
      "--k", "1", "--q", "0.5"],
+    ["value", "--family", "polyBernoulli", "--n", "1",
+     "--k", str(cli.K_LIMIT + 1)],
+    ["table", "polyBernoulli", "--nmax", "1", "--k", str(-cli.K_LIMIT - 1)],
+    ["verify", "--scope", "gf", "--nmax", "1", "--k",
+     "0,%d" % (cli.K_LIMIT + 1)],
+    ["verify", "--scope", "identities", "--nmax", "1",
+     "--k=%d" % (-cli.K_LIMIT - 1)],
+    ["oracle", "--family", "polyCauchy1", "--n", "1",
+     "--k", str(cli.K_LIMIT + 1), "--q", "0.5"],
 ])
 def test_sizes_beyond_the_limit_are_refused_before_any_build(
         monkeypatch, capsys, argv):
+    _refuse_builds(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _refuse_builds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a family was built")
 
     for name in ("family_value", "family_t", "family_gf_t",
                  "run_identity_sweep", "oracle_family"):
         monkeypatch.setattr(cli, name, refuse)
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_config_sizes_beyond_the_limit_are_refused(tmp_path, capsys):
@@ -383,11 +397,30 @@ def test_config_sizes_beyond_the_limit_are_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("k_range", ["%d,0" % (-cli.K_LIMIT - 1),
+                                     str(cli.K_LIMIT + 1)])
+def test_config_depths_beyond_the_limit_are_refused_before_any_build(
+        monkeypatch, tmp_path, capsys, k_range):
+    _refuse_builds(monkeypatch)
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("k_range = %s\n" % k_range)
+    assert main(["verify", "--scope", "all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: k_range")
+
+
 def test_the_size_limit_itself_is_accepted(capsys):
     code, out = run_cli(capsys, *VALUE_ARGS, "--n", str(cli.N_LIMIT))
     assert code == 0
     assert parse_param_poly(json.loads(out)["value"]) \
         == poly_bernoulli(cli.N_LIMIT, 1)
+
+
+@pytest.mark.parametrize("k", [cli.K_LIMIT, -cli.K_LIMIT])
+def test_the_depth_limit_itself_is_accepted(capsys, k):
+    code, out = run_cli(capsys, "value", "--family", "polyBernoulli",
+                        "--n", "4", "--k", str(k))
+    assert code == 0
+    assert parse_param_poly(json.loads(out)["value"]) == poly_bernoulli(4, k)
 
 
 @pytest.mark.parametrize("text", [

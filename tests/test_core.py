@@ -16,6 +16,7 @@ from qpoly import (
     poly_bernoulli,
     q_number,
     q_number_power_inverse,
+    specialize,
 )
 
 ONE_POLY = QPoly([1])
@@ -202,6 +203,62 @@ def test_kernel_stores_no_float(a, b, s):
         values += [inv.num, inv.den]
     assert prod.divexact(b) == a
     assert all(_stored_exactly(p) for p in values)
+
+
+mixed_scalars = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60))
+mixed_polys = st.lists(mixed_scalars.filter(bool), max_size=5).map(QPoly)
+# Fraction(n, 1) and True included: they take the exact paths too
+nonzero_scalars = st.one_of(mixed_scalars, st.just(True)).filter(bool)
+
+
+def _storage(p):
+    return [(c, type(c)) for c in p.coeffs]
+
+
+@given(p=mixed_polys, s=nonzero_scalars)
+@settings(max_examples=300)
+@example(p=QPoly([F(3, 4), 2, F(-5, 6)]), s=F(8, 3))
+@example(p=QPoly([6, F(1, 2)]), s=F(4))
+@example(p=QPoly([F(1, 6), 9]), s=-12)
+@example(p=QPoly(), s=F(2, 3))
+def test_scalar_product_matches_the_fraction_route(p, s):
+    """Cross-cancelling stores what multiplying through Fraction and
+    normalizing in the constructor stores, type included."""
+    want = _storage(QPoly([c * s for c in p.coeffs]))
+    assert _storage(p * s) == want
+    assert _storage(s * p) == want
+    assert _stored_exactly(p * s)
+
+
+t_values = st.lists(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+        st.one_of(small_ints, small_fractions), max_size=3,
+    ).map(lambda d: ParamPoly._raw({e: c for e, c in d.items() if c})),
+    max_size=5)
+
+
+@given(tvalue=t_values, k=st.integers(-3, 3))
+@settings(max_examples=150)
+def test_specialize_matches_the_per_term_product(tvalue, k):
+    """Binding each t_m once gives what multiplying every term by its t_m
+    as a QRat gives, coefficient types included."""
+    want = ParamPoly._collect((e, q_number_power_inverse(m, k) * c)
+                              for m, p in enumerate(tvalue)
+                              for e, c in p.terms.items())
+    got = specialize(tvalue, k)
+    assert got == want
+    for e, c in got.terms.items():
+        assert _storage(c.num) == _storage(want.terms[e].num)
+        assert _storage(c.den) == _storage(want.terms[e].den)
+
+
+def test_specialize_refuses_a_q_dependent_t_value():
+    for k in (-1, 1):
+        with pytest.raises(TypeError):
+            specialize([ParamPoly.const(QRat(1, q_number(2)))], k)
 
 
 # --- ParamPoly --------------------------------------------------------------

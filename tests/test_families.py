@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles as O
+import qpoly.families as families
 from qpoly import (
     FAMILIES,
     ParamPoly,
@@ -169,6 +170,16 @@ def test_t_basis_is_q_free_and_specialize_binds_q():
         for k in (-1, 0, 2):
             assert _kinds([specialize(family_t(fam, 5), k)]) == {QRat}
             assert _kinds([specialize(gf[4], k)]) == {QRat}
+
+
+def test_specialize_looks_up_no_t_m_for_empty_terms(monkeypatch):
+    # every passing identity verdict specializes an all-empty t-difference
+    def refuse(m, k):
+        raise AssertionError("t_%d looked up" % m)
+
+    monkeypatch.setattr(families, "q_number_power_inverse", refuse)
+    for k in (-2, 0, 3):
+        assert specialize((ParamPoly.zero(),) * 5, k).is_zero()
 
 
 def test_two_forms_agree():

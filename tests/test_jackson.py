@@ -105,6 +105,12 @@ def test_oracle_rejects_unsupported_depth():
         oracle_family("polyCauchy1", 2, 1, 0.0, 0.0, cfg)
 
 
+def test_oracle_weights_past_the_float_range_raise_overflow():
+    # the CLI refuses such a depth first (cli.K_LIMIT); the library raises
+    with pytest.raises(OverflowError):
+        oracle_family("polyCauchy1", 2, 400, 1.0, 0.0, OracleConfig(q=0.3))
+
+
 @pytest.mark.parametrize("rho, z", [(math.nan, 0.0), (1.0, math.inf),
                                     (-math.inf, 0.5), (1.0, math.nan)])
 def test_oracle_rejects_non_finite_parameters(rho, z):

@@ -1,5 +1,6 @@
 """Truncated series engine and the generating-function route."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from qpoly import (
     egf_coefficient,
     eval_at_q1,
     family_gf,
+    format_param_poly,
     gf_poly_bernoulli,
     gf_poly_cauchy1,
     gf_poly_cauchy2,
@@ -137,3 +139,15 @@ def test_gf_coefficients_depend_on_expected_slots():
     c = egf_coefficient(s, 4)
     assert c.degree_in("z") == 4
     assert c.degree_in("y") == 0
+
+
+def test_per_k_gf_text_is_pinned():
+    """The canonical text of every order-12 GF coefficient, k = -2..3: its
+    coefficients carry non-integral Fractions (1/n! and the like)."""
+    digest = hashlib.sha256()
+    for build in (gf_poly_bernoulli, gf_poly_cauchy1, gf_poly_cauchy2):
+        for k in range(-2, 4):
+            for c in build(k, 12).coeffs:
+                digest.update(format_param_poly(c).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9926e883143f17edd5a816f5de168617e65acc8bd181dd5c705e32c7de7d6947")
