@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from math import factorial
+from typing import Iterable
 
 from .core import DenominatorVanishes, ParamPoly, eval_numeric
 from .families import FAMILIES, family_t, family_value, specialize
@@ -164,16 +165,27 @@ def _exact_arg(text: str | None) -> Fraction | None:
         raise ValueError("zero denominator in %r" % text) from None
 
 
-def _evaluate(value: ParamPoly, args) -> tuple[dict, object, ParamPoly | None]:
-    """Apply the evaluation flags; returns (vars, printable value, exact
-    value), the exact value None under --q."""
+def _eval_point(args) -> tuple:
+    """Check the evaluation flags and return (rho, z): exact, or rounded to
+    floats under --q. Every flag error is raised here, before any output."""
     if args.at_q1 and args.q is not None:
         raise ValueError("--at-q1 and --q are mutually exclusive")
     rho, z = _exact_arg(args.rho), _exact_arg(args.z)
     if args.q is not None:
+        if not 0.0 < args.q < 1.0:
+            raise ValueError("q must lie strictly between 0 and 1")
         # Fraction -> float is correctly rounded, as float(text) is
-        rho = float(rho) if rho is not None else 1.0
-        z = float(z) if z is not None else 0.0
+        return (float(rho) if rho is not None else 1.0,
+                float(z) if z is not None else 0.0)
+    if not args.at_q1 and (rho is not None or z is not None):
+        raise ValueError("--rho/--z need --at-q1 or --q")
+    return rho, z
+
+
+def _evaluate(value: ParamPoly, args, rho, z) -> tuple:
+    """(vars, printable value, exact value) of value at the point that
+    _eval_point returned; the exact value is None under --q."""
+    if args.q is not None:
         num = eval_numeric(value, q=args.q, rho=rho, z=z, y=0.0)
         return {"q": args.q, "rho": rho, "z": z}, num, None
     if args.at_q1:
@@ -184,8 +196,6 @@ def _evaluate(value: ParamPoly, args) -> tuple[dict, object, ParamPoly | None]:
         if out.is_constant():
             return vars_, str(out.constant_term()), out
         return vars_, format_param_poly(out), out
-    if args.rho is not None or args.z is not None:
-        raise ValueError("--rho/--z need --at-q1 or --q")
     return ({"q": "symbolic", "rho": "symbolic", "z": "symbolic"},
             format_param_poly(value), value)
 
@@ -196,7 +206,7 @@ def _record(family: str, n: int, k: int, vars_: dict, value,
             "value": value, "provenance_path": provenance}
 
 
-def _emit_records(records: list[dict], fmt: str, out) -> None:
+def _emit_records(records: Iterable[dict], fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec) + "\n")
@@ -220,17 +230,21 @@ def _cmd_values(args, out) -> int:
         flag, last, ns = "--n", args.n, (args.n,)
     _check_bounds(flag, 0, N_LIMIT, last)
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
-    records = []
-    for n in ns:
-        value = family_value(args.family, n, args.k)
-        vars_, printable, exact = _evaluate(value, args)
-        rec = _record(args.family, n, args.k, vars_, printable, "closed_form")
-        if args.format == "latex":
-            # a --q row is a float, printed as its repr
-            rec["latex"] = (str(printable) if exact is None
-                            else latex_param_poly(exact))
-        records.append(rec)
-    _emit_records(records, args.format, out)
+    rho, z = _eval_point(args)
+
+    def records():
+        for n in ns:
+            value = family_value(args.family, n, args.k)
+            vars_, printable, exact = _evaluate(value, args, rho, z)
+            rec = _record(args.family, n, args.k, vars_, printable,
+                          "closed_form")
+            if args.format == "latex":
+                # a --q row is a float, printed as its repr
+                rec["latex"] = (str(printable) if exact is None
+                                else latex_param_poly(exact))
+            yield rec
+
+    _emit_records(records(), args.format, out)
     return 0
 
 
@@ -244,9 +258,12 @@ def _verify_gf(nmax: int, k_range: tuple[int, int]) -> list[dict]:
             diff = [c.scale(factorial(n)) - p
                     for c, p in zip(gf[n], family_t(family, n))]
             for k in range(k_range[0], k_range[1] + 1):
-                same = specialize(diff, k).is_zero()
-                records.append({"identity": "GF_%s" % family, "n": n, "k": k,
-                                "status": "verified" if same else "failed"})
+                at_k = specialize(diff, k)
+                rec = {"identity": "GF_%s" % family, "n": n, "k": k,
+                       "status": "verified" if at_k.is_zero() else "failed"}
+                if not at_k.is_zero():
+                    rec["witness"] = format_param_poly(at_k)
+                records.append(rec)
     return records
 
 

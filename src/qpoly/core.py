@@ -18,6 +18,9 @@ or a QRat. q and k enter the families only through t_m = [m+1]_q^(-k), so
 the t-basis values, and every identity and generating-function difference
 built from them, hold scalars and never touch QPoly or QRat; QRats appear
 only where `families.specialize` binds the t_m.
+
+Every accumulated sum of ParamPoly products is one call of
+ParamPoly.sum_of_products, which collects all product terms in one pass.
 """
 
 from __future__ import annotations
@@ -443,7 +446,8 @@ class ParamPoly:
     Terms map exponent triples (e_rho, e_z, e_y) to nonzero coefficients,
     each a q-free scalar (int or Fraction) or a QRat (see the module
     docstring). sorted_terms hands every coefficient out as a QRat, while
-    constant_term and coefficient return it as stored: maybe a scalar.
+    constant_term and coefficient return a QRat as stored and a scalar
+    normalized by _exact (arithmetic may store an integral Fraction).
 
     The y slot is a second weight variable needed only by the mixed-weight
     identity checks; everywhere else its exponent stays 0. Instances are
@@ -518,10 +522,11 @@ class ParamPoly:
         return not self.terms or set(self.terms) == {(0, 0, 0)}
 
     def constant_term(self) -> Scalar | QRat:
-        return self.terms.get((0, 0, 0), 0)
+        return self.coefficient()
 
     def coefficient(self, rho: int = 0, z: int = 0, y: int = 0) -> Scalar | QRat:
-        return self.terms.get((rho, z, y), 0)
+        c = self.terms.get((rho, z, y), 0)
+        return c if isinstance(c, QRat) else _exact(c)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of the named variable; -1 for the zero value."""
@@ -570,12 +575,18 @@ class ParamPoly:
             return self.scale(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return ParamPoly._collect(
-            ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items())
+        return ParamPoly.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable) -> "ParamPoly":
+        """sum of a * b over the (a, b) pairs, collected in one pass."""
+        return cls._collect(
+            ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
+            for a, b in pairs
+            for e1, c1 in a.terms.items()
+            for e2, c2 in b.terms.items())
 
     def scale(self, coeff) -> "ParamPoly":
         c = _coefficient(coeff)

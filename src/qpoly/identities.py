@@ -67,15 +67,18 @@ def _t_differences(body, n: int, _inputs: tuple) -> tuple:
     return body(n)
 
 
+def _memoized(body, n: int) -> tuple:
+    """body(n), memoized per (body, n); the key also holds the names of this
+    module the t-path reads, so rebinding one (to plant a fault, as the
+    tests do) never meets a value cached from another."""
+    return _t_differences(body, n, (family_t, substitute_weight,
+                                    weighted_stirling1, weighted_stirling2))
+
+
 def _verdicts(ids: Sequence[str], n: int, k: int,
               body) -> list[IdentityReport]:
-    """Judge the t-differences body(n), one per identity, at k. They are
-    memoized per (body, n); the key also holds the names of this module the
-    t-path reads, so rebinding one (to plant a fault, as the tests do) never
-    meets a difference cached from another."""
-    inputs = (family_t, substitute_weight, weighted_stirling1,
-              weighted_stirling2)
-    diffs = [specialize(d, k) for d in _t_differences(body, n, inputs)]
+    """Judge the memoized t-differences body(n), one per identity, at k."""
+    diffs = [specialize(d, k) for d in _memoized(body, n)]
     return [IdentityReport(i, n, k, "verified") if d.is_zero()
             else IdentityReport(i, n, k, "failed", format_param_poly(d))
             for i, d in zip(ids, diffs)]
@@ -83,8 +86,8 @@ def _verdicts(ids: Sequence[str], n: int, k: int,
 
 def _t_combination(pairs) -> tuple[ParamPoly, ...]:
     """sum of w * v over (w, v) pairs, w q-free and v in the t-basis."""
-    return tuple(sum((w * v[j] for w, v in pairs if j < len(v)),
-                     ParamPoly.zero())
+    return tuple(ParamPoly.sum_of_products((w, v[j]) for w, v in pairs
+                                           if j < len(v))
                  for j in range(max(len(v) for _, v in pairs)))
 
 
@@ -98,6 +101,11 @@ def _inverse_lhs(n: int, slot: str) -> list[tuple[ParamPoly, ...]]:
                 (weighted_stirling1, 1, "polyBernoulli"),
                 (weighted_stirling2, 1, "polyCauchy1"),
                 (weighted_stirling2, -1, "polyCauchy2"))]
+
+
+def _inverse_lhs_y(n: int) -> list[tuple[ParamPoly, ...]]:
+    """The T7 inner sums: _inverse_lhs in the y slot, as a _memoized body."""
+    return _inverse_lhs(n, "y")
 
 
 def check_orthogonality(n: int) -> list[IdentityReport]:
@@ -115,11 +123,12 @@ def check_orthogonality(n: int) -> list[IdentityReport]:
             ("ORTHO_2", weighted_stirling1, weighted_stirling2, True)):
         witness: str | None = None
         for m in range(n + 1):
-            diff = ParamPoly.const(-1 if m == n else 0)
+            pairs = [(ParamPoly.const(-(m == n)), ParamPoly.const(1))]
             for l in range(m, n + 1):
                 sign = (-1) ** (l - m if sign_by_l else n - l)
-                diff = diff + (outer(n, l).as_param_poly()
-                               * inner(l, m).as_param_poly()).scale(sign)
+                pairs.append((outer(n, l).as_param_poly().scale(sign),
+                              inner(l, m).as_param_poly()))
+            diff = ParamPoly.sum_of_products(pairs)
             if not diff.is_zero():
                 witness = "m=%d: %s" % (m, format_param_poly(diff))
                 break
@@ -196,7 +205,7 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
 
 def _mixed_t(n: int) -> tuple:
     # each sum over l is an inverse relation's left side in the y slot
-    inner = [_inverse_lhs(m, "y") for m in range(n + 1)]
+    inner = [_memoized(_inverse_lhs_y, m) for m in range(n + 1)]
     out = []
     for lhs, table, sign, sign_by_m, factorial_power, relation in (
             ("polyBernoulli", weighted_stirling2, 1, True, 1, 1),

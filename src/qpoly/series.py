@@ -102,18 +102,10 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = [ParamPoly.zero()] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries([
+            ParamPoly.sum_of_products((a[i], b[s - i]) for i in range(s + 1))
+            for s in range(min(self.order, other.order) + 1)])
 
     def __pow__(self, exponent: int) -> "TruncSeries":
         if exponent < 0:
@@ -131,14 +123,15 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise NonZeroConstantTerm("composition argument must vanish at t=0")
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
-    # powers, not Horner's rule: inner^j starts at t^j and __mul__ skips
-    # zero coefficients (7x faster than Horner for series_exp at order 12)
-    power = TruncSeries.one(n)
-    acc = power.scale(outer.coeffs[0])
-    for j in range(1, n + 1):
-        power = power * inner
-        acc = acc + power.scale(outer.coeffs[j])
-    return acc
+    # powers, not Horner's rule: inner^j starts at t^j and a zero coefficient
+    # adds no product (7x faster than Horner for series_exp at order 12)
+    powers = [TruncSeries.one(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * inner)
+    return TruncSeries([
+        ParamPoly.sum_of_products((p.coeffs[s], c)
+                                  for p, c in zip(powers, outer.coeffs))
+        for s in range(n + 1)])
 
 
 def series_exp(f: TruncSeries) -> TruncSeries:

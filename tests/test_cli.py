@@ -70,6 +70,24 @@ def test_value_latex_contains_fraction(capsys):
     assert "\\frac" in out
 
 
+@pytest.mark.parametrize("fmt, first", [("csv", 1), ("latex", 1),
+                                        ("json", 0)])
+def test_table_writes_each_row_before_building_the_next(
+        monkeypatch, capsys, fmt, first):
+    true_value = cli.family_value
+    lines_out = []
+
+    def watched(family, n, k):
+        lines_out.append(sys.stdout.getvalue().count("\n"))
+        return true_value(family, n, k)
+
+    monkeypatch.setattr(cli, "family_value", watched)
+    code, _ = run_cli(capsys, "table", "polyBernoulli", "--nmax", "3",
+                      "--k", "1", "--format", fmt)
+    assert code == 0
+    assert lines_out == [first + n for n in range(4)]
+
+
 def test_table_latex_at_q1_renders_latex(capsys):
     code, out = run_cli(capsys, "table", "polyBernoulli", "--nmax", "2",
                         "--k", "1", "--format", "latex", "--at-q1",
@@ -234,6 +252,30 @@ def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
         "GF_polyCauchy2"] * 8
 
 
+def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
+    # z^2 on the t_0 component of P_{2,m} adds z^2 to the value c_2 at every
+    # k, so n! [t^2] S_j - P_{2,j} specializes to -z^2
+    true_value = cli.family_t
+
+    def perturbed(family, n, slot="z"):
+        value = true_value(family, n, slot)
+        if (family, n) != ("polyCauchy1", 2):
+            return value
+        return (value[0] + ParamPoly.monomial(1, z=2),) + value[1:]
+
+    monkeypatch.setattr(cli, "family_t", perturbed)
+    code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
+                        "--k", "0,1")
+    assert code == 1
+    recs = [json.loads(line) for line in out.splitlines()]
+    failed = [r for r in recs if r["status"] == "failed"]
+    assert failed == [{"identity": "GF_polyCauchy1", "n": 2, "k": k,
+                       "status": "failed", "witness": "(-1)/(1)*z^2"}
+                      for k in (0, 1)]
+    # a passing record stays as it was, with no witness key
+    assert all("witness" not in r for r in recs if r["status"] == "verified")
+
+
 def test_verify_identities_scope(capsys):
     code, out = run_cli(capsys, "verify", "--scope", "identities",
                         "--nmax", "3", "--k", "0,1")
@@ -334,6 +376,7 @@ def test_bad_k_range_is_usage_error(capsys):
 
 
 VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
+TABLE_ARGS = ["table", "polyBernoulli", "--nmax", "3", "--k", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,10 +395,18 @@ VALUE_ARGS = ["value", "--family", "polyBernoulli", "--k", "1"]
      "--q", "0.5", "--rho", "nan"],
     ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
      "--q", "0.5", "--z", "inf"],
+    # table streams its rows, so a flag error must come before the csv
+    # header or the tabular opening
+    TABLE_ARGS + ["--at-q1", "--q", "0.5"],
+    TABLE_ARGS + ["--z", "1/3", "--format", "latex"],
+    TABLE_ARGS + ["--q", "1.5"],
+    TABLE_ARGS + ["--at-q1", "--rho", "1/0", "--format", "latex"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

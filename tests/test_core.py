@@ -269,6 +269,13 @@ COEFFICIENT_BUILDERS = {
     "const": lambda v: ParamPoly.const(v).constant_term(),
     "monomial": lambda v: ParamPoly.monomial(v, z=1).coefficient(z=1),
     "scale": lambda v: ParamPoly.var("z").scale(v).coefficient(z=1),
+    # (1/2) z * 2v and (1/2) z + v z - (1/2) z: an integral v sums to an
+    # integral Fraction, which is read back as an int
+    "product": lambda v: (ParamPoly.monomial(F(1, 2), z=1)
+                          * ParamPoly.const(2 * v)).coefficient(z=1),
+    "sum": lambda v: (ParamPoly.monomial(F(1, 2), z=1)
+                      + ParamPoly.monomial(v, z=1)
+                      + ParamPoly.monomial(F(-1, 2), z=1)).coefficient(z=1),
 }
 INV_2 = QRat(1, QPoly([1, 1]))
 
@@ -331,6 +338,26 @@ def test_param_poly_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
+
+
+kernel_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    st.one_of(small_ints, small_fractions, qrats), max_size=3,
+).map(ParamPoly)
+
+
+@given(pairs=st.lists(st.tuples(kernel_polys, kernel_polys), max_size=4))
+@settings(max_examples=150)
+@example(pairs=[])
+def test_sum_of_products_matches_the_pairwise_sum(pairs):
+    """One collect over every product term gives the sum of the products
+    built one at a time, with no zero coefficient stored; pairs that
+    cancel leave the zero value."""
+    got = ParamPoly.sum_of_products(pairs)
+    assert got == sum((a * b for a, b in pairs), ParamPoly.zero())
+    assert all(got.terms.values())
+    mirrored = pairs + [(-a, b) for a, b in pairs]
+    assert ParamPoly.sum_of_products(mirrored) == ParamPoly.zero()
 
 
 # --- numeric evaluation -----------------------------------------------------

@@ -151,6 +151,33 @@ def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
         assert parse_param_poly(r.witness) == expected[r.identity_id]
 
 
+def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch):
+    # the T7 inner sums are the inverse left sides in the y slot, memoized
+    # per n; T7_2 reads g_l(y) only through them, so its failure shows that
+    # the memo warmed here is not met once family_t is rebound
+    assert {r.status for r in check_mixed_expansions(2, 1)} == {"verified"}
+    _perturb_cauchy2(monkeypatch)
+    assert [(r.identity_id, r.status) for r in check_mixed_expansions(2, 1)] \
+        == [("T7_1", "verified"), ("T7_2", "failed"),
+            ("T7_3", "verified"), ("T7_4", "failed")]
+
+
+def test_each_t7_inner_sum_is_built_once(monkeypatch):
+    identities._t_differences.cache_clear()
+    for n in range(8):
+        identities._mixed_t(n)
+    calls = []
+    true_lhs = identities._inverse_lhs
+
+    def counted(n, slot):
+        calls.append((n, slot))
+        return true_lhs(n, slot)
+
+    monkeypatch.setattr(identities, "_inverse_lhs", counted)
+    identities._mixed_t(8)
+    assert calls == [(8, "y")]
+
+
 def test_verdict_judges_the_t_difference_at_k():
     # t_0 - t_1 = 1 - [2]_q^(-k) is nonzero with t formal but 0 at k = 0
     def body(n):
