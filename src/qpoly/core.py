@@ -54,6 +54,8 @@ class DenominatorVanishes(ZeroDivisionError):
 def _exact(value: Scalar) -> Scalar:
     """value as a stored coefficient: an int if integral (a bool too), else
     a Fraction; anything inexact is a TypeError."""
+    if type(value) is int:   # the common case skips the ABC check below
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -342,10 +344,10 @@ class QRat:
         return self.den.degree == 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = _coerce_qrat(other)
         if not isinstance(other, QRat):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, QPoly)):
+                return NotImplemented
+            other = _coerce_qrat(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:

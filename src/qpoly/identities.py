@@ -12,6 +12,10 @@ by every k. The verdict at (n, k) is that t-difference specialized at k: a
 zero t-difference is one proof for every k and q, and a failure's witness
 is the specialized difference.
 
+Every t-difference has integer coefficients: the differences with 1/m!
+weights (T6, T7_3, T7_4) are formed times n!, and a failing one is divided
+back by n! before its witness is written.
+
 Identity labels are stable wire-format tokens; one JSON record is emitted
 per (identity, n, k).
 """
@@ -20,12 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .core import ParamPoly
+from .core import ParamPoly, QRat
 from .families import family_t, specialize
 from .stirling import (
     substitute_weight,
@@ -75,13 +78,37 @@ def _memoized(body, n: int) -> tuple:
                                     weighted_stirling1, weighted_stirling2))
 
 
-def _verdicts(ids: Sequence[str], n: int, k: int,
-              body) -> list[IdentityReport]:
-    """Judge the memoized t-differences body(n), one per identity, at k."""
-    diffs = [specialize(d, k) for d in _memoized(body, n)]
-    return [IdentityReport(i, n, k, "verified") if d.is_zero()
-            else IdentityReport(i, n, k, "failed", format_param_poly(d))
-            for i, d in zip(ids, diffs)]
+def _verdicts(ids: Sequence[str], n: int, k: int, body,
+              scales: Sequence[int] | None = None) -> list[IdentityReport]:
+    """Judge the memoized t-differences body(n), one per identity, at k.
+
+    Row i is scales[i] (1 if scales is None) times its identity's
+    difference, cleared of denominators so that it is built in integers;
+    only a failing row is divided back, so its witness is the difference
+    itself."""
+    if not isinstance(k, int):
+        raise TypeError("k must be an integer")
+    out = []
+    for i, d, s in zip(ids, _memoized(body, n), scales or (1,) * len(ids)):
+        witness = None
+        if d:   # a zero t-difference is () and zero at every k
+            d = specialize(d, k)
+            if not d.is_zero():
+                witness = format_param_poly(d if s == 1
+                                            else d.scale(QRat(1, s)))
+        out.append(IdentityReport(i, n, k, "failed" if witness else
+                                  "verified", witness))
+    return out
+
+
+def _trim(tvalue) -> tuple[ParamPoly, ...]:
+    """tvalue without its trailing zero entries, so a zero value is ();
+    every t-difference is trimmed, which makes a verified one cheap to
+    judge."""
+    tvalue = list(tvalue)
+    while tvalue and tvalue[-1].is_zero():
+        tvalue.pop()
+    return tuple(tvalue)
 
 
 def _t_combination(pairs) -> tuple[ParamPoly, ...]:
@@ -122,11 +149,12 @@ def check_orthogonality(n: int) -> list[IdentityReport]:
             ("ORTHO_1", weighted_stirling2, weighted_stirling1, False),
             ("ORTHO_2", weighted_stirling1, weighted_stirling2, True)):
         witness: str | None = None
+        row = [outer(n, l).as_param_poly() for l in range(n + 1)]
         for m in range(n + 1):
             pairs = [(ParamPoly.const(-(m == n)), ParamPoly.const(1))]
             for l in range(m, n + 1):
                 sign = (-1) ** (l - m if sign_by_l else n - l)
-                pairs.append((outer(n, l).as_param_poly().scale(sign),
+                pairs.append((row[l].scale(sign),
                               inner(l, m).as_param_poly()))
             diff = ParamPoly.sum_of_products(pairs)
             if not diff.is_zero():
@@ -154,8 +182,9 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
 
 def _inverse_t(n: int) -> tuple:
     # each right side is a multiple of t_n
-    return tuple(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),) for lhs, rhs
-                 in zip(_inverse_lhs(n, "z"), (factorial(n), 1, (-1) ** n)))
+    return tuple(_trim(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),))
+                 for lhs, rhs in zip(_inverse_lhs(n, "z"),
+                                     (factorial(n), 1, (-1) ** n)))
 
 
 def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
@@ -168,19 +197,31 @@ def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
     are weighted sums of rho^n binom((x-z)/rho + j, n) terms, and the
     binomial convolution that splits the order-n factor into order-m pieces
     leaves rho^(n-m) uncancelled on each piece.
+
+    Each difference is built times n!, which clears every denominator:
+    C(n-1, m-1) n!/m! is the unsigned Lah number L(n, m), so the check
+    runs in integers on
+
+        (-1)^n c_n(z) - sum_{m=1}^{n} L(n, m) rho^(n-m) g_m(z)
+
+    and its twin, and a failure's witness is divided back by n!.
     """
     if n < 1:
         raise ValueError("reciprocity starts at n = 1")
-    return _verdicts(("T6_301", "T6_302"), n, k, _reciprocity_t)
+    scale = factorial(n)
+    return _verdicts(("T6_301", "T6_302"), n, k, _reciprocity_t,
+                     (scale, scale))
 
 
 def _reciprocity_t(n: int) -> tuple:
-    sign = ParamPoly.const(Fraction((-1) ** n, factorial(n)))
+    # n! times each difference; the m-th weight is -L(n, m) rho^(n-m)
+    sign = ParamPoly.const((-1) ** n)
+    weights = [ParamPoly.monomial(
+        -(comb(n - 1, m - 1) * factorial(n) // factorial(m)), rho=n - m)
+        for m in range(1, n + 1)]
     return tuple(
-        _t_combination([(sign, family_t(lhs, n))] + [
-            (ParamPoly.monomial(-Fraction(comb(n - 1, m - 1), factorial(m)),
-                                rho=n - m), family_t(rhs, m))
-            for m in range(1, n + 1)])
+        _trim(_t_combination([(sign, family_t(lhs, n))] + [
+            (w, family_t(rhs, m)) for m, w in enumerate(weights, 1)]))
         for lhs, rhs in (("polyCauchy1", "polyCauchy2"),
                          ("polyCauchy2", "polyCauchy1")))
 
@@ -197,28 +238,35 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
 
     where S*x, S*y are weighted Stirling polynomials under the weight
     substitution in the named slot and a trailing minus marks weight -v.
+    The last two differences are built times n!, with the integer weights
+    n!/m!, so every check runs in integers; a failure's witness is divided
+    back by n!.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _verdicts(("T7_1", "T7_2", "T7_3", "T7_4"), n, k, _mixed_t)
+    scale = factorial(n)
+    return _verdicts(("T7_1", "T7_2", "T7_3", "T7_4"), n, k, _mixed_t,
+                     (1, 1, scale, scale))
 
 
 def _mixed_t(n: int) -> tuple:
     # each sum over l is an inverse relation's left side in the y slot
     inner = [_memoized(_inverse_lhs_y, m) for m in range(n + 1)]
     out = []
-    for lhs, table, sign, sign_by_m, factorial_power, relation in (
-            ("polyBernoulli", weighted_stirling2, 1, True, 1, 1),
-            ("polyBernoulli", weighted_stirling2, 1, False, 1, 2),
-            ("polyCauchy1", weighted_stirling1, 1, True, -1, 0),
-            ("polyCauchy2", weighted_stirling1, -1, False, -1, 0)):
-        pairs = [(ParamPoly.const(1), family_t(lhs, n))]   # minus the rhs
+    for lhs, table, sign, sign_by_m, cleared, relation in (
+            ("polyBernoulli", weighted_stirling2, 1, True, False, 1),
+            ("polyBernoulli", weighted_stirling2, 1, False, False, 2),
+            ("polyCauchy1", weighted_stirling1, 1, True, True, 0),
+            ("polyCauchy2", weighted_stirling1, -1, False, True, 0)):
+        # a cleared row is n! times its difference: weights n!/m!, not 1/m!
+        scale = factorial(n) if cleared else 1
+        pairs = [(ParamPoly.const(scale), family_t(lhs, n))]  # minus the rhs
         for m in range(n + 1):
-            c = -(-1) ** (n - m if sign_by_m else n) * Fraction(
-                factorial(m)) ** factorial_power
+            w = scale // factorial(m) if cleared else factorial(m)
+            c = -w if (n - m if sign_by_m else n) % 2 == 0 else w
             pairs.append((substitute_weight(table(n, m), sign).scale(c),
                           inner[m][relation]))
-        out.append(_t_combination(pairs))
+        out.append(_trim(_t_combination(pairs)))
     return tuple(out)
 
 

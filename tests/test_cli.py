@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -74,18 +76,35 @@ def test_value_latex_contains_fraction(capsys):
                                         ("json", 0)])
 def test_table_writes_each_row_before_building_the_next(
         monkeypatch, capsys, fmt, first):
-    true_value = cli.family_value
+    # each table row is specialized from its t-basis form
+    true_specialize = cli.specialize
     lines_out = []
 
-    def watched(family, n, k):
+    def watched(tvalue, k):
         lines_out.append(sys.stdout.getvalue().count("\n"))
-        return true_value(family, n, k)
+        return true_specialize(tvalue, k)
 
-    monkeypatch.setattr(cli, "family_value", watched)
+    monkeypatch.setattr(cli, "specialize", watched)
     code, _ = run_cli(capsys, "table", "polyBernoulli", "--nmax", "3",
                       "--k", "1", "--format", fmt)
     assert code == 0
     assert lines_out == [first + n for n in range(4)]
+
+
+@pytest.mark.parametrize("family", ["polyBernoulli", "polyCauchy1",
+                                    "polyCauchy2"])
+def test_table_leaves_the_closed_form_cache_alone(capsys, family):
+    closed_forms = (families.poly_bernoulli, families.poly_cauchy1,
+                    families.poly_cauchy2)
+    for f in closed_forms:
+        f.cache_clear()
+    code, out = run_cli(capsys, "table", family, "--nmax", "6", "--k", "-3")
+    assert code == 0
+    assert [f.cache_info().currsize for f in closed_forms] == [0, 0, 0]
+    # the rows are still the closed forms
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [parse_param_poly(r[-1]) for r in rows] == [
+        families.family_value(family, n, -3) for n in range(7)]
 
 
 def test_table_latex_at_q1_renders_latex(capsys):

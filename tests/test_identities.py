@@ -162,6 +162,48 @@ def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch):
             ("T7_3", "verified"), ("T7_4", "failed")]
 
 
+def test_rescaled_t7_witnesses_are_the_differences(monkeypatch):
+    # T7_4 is built times n! and its witness divided back; T7_2 is built
+    # unscaled. The texts are those of the differences themselves.
+    _perturb_cauchy2(monkeypatch)
+    at = {(n, k): {r.identity_id: r.witness
+                   for r in check_mixed_expansions(n, k)}
+          for n, k in ((2, 1), (3, -1))}
+    assert at[2, 1]["T7_4"] == "(1)/(1)*z^2"
+    assert at[3, -1]["T7_4"] == "(1)/(1)*z^3"
+    assert at[3, -1]["T7_2"] == (
+        "(-6)/(1)*y^3 + (24)/(1)*z^1*y^2 + (-33)/(1)*z^2*y^1"
+        " + (16)/(1)*z^3 + (6)/(1)*rho^1*y^2 + (-33)/(1)*rho^1*z^1*y^1"
+        " + (33)/(1)*rho^1*z^2 + (-1)/(1)*rho^2*y^1"
+        " + (13)/(1)*rho^2*z^1")
+
+
+def test_every_t_difference_is_built_in_integers(monkeypatch):
+    # a verified difference is empty, so the scalars are also checked
+    # where they enter (each weight and value _t_combination sums) and
+    # the differences are made nonzero by a planted fault
+    true_combination = identities._t_combination
+    scalars = []
+
+    def watched(pairs):
+        pairs = list(pairs)
+        scalars.extend(c for w, v in pairs for p in (w,) + tuple(v)
+                       for c in p.terms.values())
+        return true_combination(pairs)
+
+    monkeypatch.setattr(identities, "_t_combination", watched)
+    _perturb_cauchy2(monkeypatch)
+    for body, ns in ((identities._inverse_t, range(11)),
+                     (identities._reciprocity_t, range(1, 11)),
+                     (identities._mixed_t, range(9)),
+                     (identities._inverse_lhs_y, range(11))):
+        out = [c for n in ns for row in identities._memoized(body, n)
+               for p in row for c in p.terms.values()]
+        assert out, body.__name__
+        scalars.extend(out)
+    assert {type(c) for c in scalars} == {int}
+
+
 def test_each_t7_inner_sum_is_built_once(monkeypatch):
     identities._t_differences.cache_clear()
     for n in range(8):
