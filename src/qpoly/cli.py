@@ -225,23 +225,19 @@ def _emit_records(records: Iterable[dict], fmt: str, out) -> None:
 def _cmd_values(args, out) -> int:
     """table (rows n = 0..nmax) and value (the one row n).
 
-    A table row is specialized from the t-basis form rather than looked up
-    in the closed-form cache, so a streamed table keeps no printed row."""
+    Each row is specialized from the t-basis form rather than looked up in
+    the closed-form cache, so a streamed table keeps no printed row."""
     if args.command == "table":
         flag, last, ns = "--nmax", args.nmax, range(args.nmax + 1)
-
-        def build(family, n, k):
-            return specialize(family_t(family, n), k)
     else:
         flag, last, ns = "--n", args.n, (args.n,)
-        build = family_value
     _check_bounds(flag, 0, N_LIMIT, last)
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     rho, z = _eval_point(args)
 
     def records():
         for n in ns:
-            value = build(args.family, n, args.k)
+            value = specialize(family_t(args.family, n), args.k)
             vars_, printable, exact = _evaluate(value, args, rho, z)
             rec = _record(args.family, n, args.k, vars_, printable,
                           "closed_form")

@@ -79,23 +79,21 @@ def _memoized(body, n: int) -> tuple:
 
 
 def _verdicts(ids: Sequence[str], n: int, k: int, body,
-              scales: Sequence[int] | None = None) -> list[IdentityReport]:
+              scales: Sequence[int]) -> list[IdentityReport]:
     """Judge the memoized t-differences body(n), one per identity, at k.
 
-    Row i is scales[i] (1 if scales is None) times its identity's
-    difference, cleared of denominators so that it is built in integers;
-    only a failing row is divided back, so its witness is the difference
-    itself."""
+    Row i is scales[i] times its identity's difference, cleared of
+    denominators so that it is built in integers; only a failing row is
+    divided back, so its witness is the difference itself."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
     out = []
-    for i, d, s in zip(ids, _memoized(body, n), scales or (1,) * len(ids)):
+    for i, d, s in zip(ids, _memoized(body, n), scales):
         witness = None
         if d:   # a zero t-difference is () and zero at every k
             d = specialize(d, k)
             if not d.is_zero():
-                witness = format_param_poly(d if s == 1
-                                            else d.scale(QRat(1, s)))
+                witness = format_param_poly(d.scale(QRat(1, s)))
         out.append(IdentityReport(i, n, k, "failed" if witness else
                                   "verified", witness))
     return out
@@ -177,7 +175,8 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _verdicts(("T5_201", "T5_202", "T5_203"), n, k, _inverse_t)
+    return _verdicts(("T5_201", "T5_202", "T5_203"), n, k, _inverse_t,
+                     (1, 1, 1))
 
 
 def _inverse_t(n: int) -> tuple:

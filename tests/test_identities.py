@@ -225,9 +225,9 @@ def test_verdict_judges_the_t_difference_at_k():
     def body(n):
         return ((ParamPoly.const(1), ParamPoly.const(-1)),)
 
-    assert identities._verdicts(("T5_201",), 1, 0, body) == [
+    assert identities._verdicts(("T5_201",), 1, 0, body, (1,)) == [
         IdentityReport("T5_201", 1, 0, "verified")]
-    [failed] = identities._verdicts(("T5_201",), 1, 1, body)
+    [failed] = identities._verdicts(("T5_201",), 1, 1, body, (1,))
     assert failed.status == "failed"
     # 1 - 1/(1 + q) = q/(1 + q)
     assert failed.witness == "(1*q^1)/(1 + 1*q^1)"
