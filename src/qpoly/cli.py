@@ -15,14 +15,12 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import DenominatorVanishes, ParamPoly, eval_numeric
-from .families import FAMILIES, family_t, family_value, specialize
-from .identities import run_identity_sweep
+from .families import FAMILIES, family_t, specialize
+from .identities import report_record, run_gf_sweep, run_identity_sweep
 from .jackson import NonconvergedTruncation, OracleConfig, oracle_family
-from .series import family_gf_t
 from .textform import format_param_poly, latex_param_poly
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
@@ -252,22 +250,9 @@ def _cmd_values(args, out) -> int:
 
 
 def _verify_gf(nmax: int, k_range: tuple[int, int]) -> list[dict]:
-    """n! [t^n] of each GF minus the family value, in the t-basis, judged at
-    each k as the identities judge theirs; FAMILIES is in name order."""
-    records = []
-    for family in FAMILIES:
-        gf = family_gf_t(family, nmax)
-        for n in range(nmax + 1):
-            diff = [c.scale(factorial(n)) - p
-                    for c, p in zip(gf[n], family_t(family, n))]
-            for k in range(k_range[0], k_range[1] + 1):
-                at_k = specialize(diff, k)
-                rec = {"identity": "GF_%s" % family, "n": n, "k": k,
-                       "status": "verified" if at_k.is_zero() else "failed"}
-                if not at_k.is_zero():
-                    rec["witness"] = format_param_poly(at_k)
-                records.append(rec)
-    return records
+    # a passing gf record has no witness key
+    return [{key: v for key, v in report_record(r).items() if v is not None}
+            for r in run_gf_sweep(nmax, range(k_range[0], k_range[1] + 1))]
 
 
 def _verify_identities(nmax: int, nmax_mixed: int,
@@ -275,8 +260,7 @@ def _verify_identities(nmax: int, nmax_mixed: int,
     reports = run_identity_sweep(
         nmax=nmax, nmax_mixed=min(nmax_mixed, nmax),
         k_values=range(k_range[0], k_range[1] + 1))
-    return [{"identity": r.identity_id, "n": r.n, "k": r.k,
-             "status": r.status, "witness": r.witness} for r in reports]
+    return [report_record(r) for r in reports]
 
 
 def _oracle_verdict(closed: float, numeric: float,
@@ -287,26 +271,24 @@ def _oracle_verdict(closed: float, numeric: float,
     return err, err < tolerance * max(1.0, abs(closed))
 
 
-def _verify_oracle(nmax: int, truncation: int, tolerance: float,
-                   q_values) -> list[dict]:
+def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
     records = []
     for family in ("polyCauchy1", "polyCauchy2"):
         for n in range(nmax + 1):
             for k in (1, 2):
-                for q in q_values:
-                    cfg = OracleConfig(q=q, truncation=truncation,
-                                       tolerance=tolerance)
+                value = specialize(family_t(family, n), k)
+                for cfg in configs:
                     for rho in (1.0, 2.0, -0.5):
                         for z in (0.0, 1 / 3):
-                            closed = eval_numeric(family_value(family, n, k),
-                                                  q=q, rho=rho, z=z, y=0.0)
+                            closed = eval_numeric(value, q=cfg.q, rho=rho,
+                                                  z=z, y=0.0)
                             numeric = oracle_family(family, n, k, rho, z, cfg)
                             err, ok = _oracle_verdict(closed, numeric,
-                                                      tolerance)
+                                                      cfg.tolerance)
                             records.append({
                                 "identity": "ORACLE_%s" % family,
-                                "n": n, "k": k, "q": q, "rho": rho, "z": z,
-                                "abs_err": err,
+                                "n": n, "k": k, "q": cfg.q, "rho": rho,
+                                "z": z, "abs_err": err,
                                 "status": "verified" if ok else "failed",
                             })
     records.sort(key=lambda r: (r["identity"], r["n"], r["k"],
@@ -329,7 +311,10 @@ def _cmd_verify(args, out) -> int:
     k_range = _parse_k_range(args.k) if args.k is not None else cfg["k_range"]
     _check_bounds("--k" if args.k is not None else "k_range",
                   -K_LIMIT, K_LIMIT, *k_range)
-    q_values = (args.q,) if args.q is not None else (0.3, 0.7)
+    # a bad --q or oracle setting is refused here, before any sweep
+    qs = (args.q,) if args.q is not None else (0.3, 0.7)
+    oracle_configs = [OracleConfig(q, cfg["oracle_truncation"],
+                                   cfg["tolerance"]) for q in qs]
 
     records: list[dict] = []
     if args.scope in ("gf", "all"):
@@ -337,9 +322,7 @@ def _cmd_verify(args, out) -> int:
     if args.scope in ("identities", "all"):
         records.extend(_verify_identities(nmax_ids, cfg["nmax_mixed"], k_range))
     if args.scope in ("oracle", "all"):
-        records.extend(_verify_oracle(cfg["nmax_oracle"],
-                                      cfg["oracle_truncation"],
-                                      cfg["tolerance"], q_values))
+        records.extend(_verify_oracle(cfg["nmax_oracle"], oracle_configs))
     failed = [r for r in records if r["status"] != "verified"]
     for rec in records:
         out.write(json.dumps(rec) + "\n")
@@ -357,9 +340,10 @@ def _cmd_oracle(args, out) -> int:
     cfg = _get_config(args)
     ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
                         tolerance=cfg["tolerance"])
-    value = family_value(args.family, args.n, args.k)
-    closed = eval_numeric(value, q=args.q, rho=args.rho, z=args.z, y=0.0)
+    # the oracle refuses a bad rho or z before the closed form is built
     numeric = oracle_family(args.family, args.n, args.k, args.rho, args.z, ocfg)
+    closed = eval_numeric(specialize(family_t(args.family, args.n), args.k),
+                          q=args.q, rho=args.rho, z=args.z, y=0.0)
     vars_ = {"q": args.q, "rho": args.rho, "z": args.z}
     out.write(json.dumps(_record(args.family, args.n, args.k, vars_,
                                  closed, "closed_form")) + "\n")

@@ -5,14 +5,15 @@ prefactor absorbs each 1/rho inside a weight) and asserts that the
 difference of the two sides is the zero ParamPoly, so a pass is an exact
 statement about rational functions of q, not a numeric one.
 
-Orthogonality involves no family. Every other identity is linear in the
+Orthogonality involves no family. Every other identity, like each
+generating function against its family (run_gf_sweep), is linear in the
 family values, so its difference is formed once per n in the t-basis of
 families, sum_m t_m D_m with q-free D_m and t_m = [m+1]_q^(-k), and shared
 by every k. The verdict at (n, k) is that t-difference specialized at k: a
 zero t-difference is one proof for every k and q, and a failure's witness
 is the specialized difference.
 
-Every t-difference has integer coefficients: the differences with 1/m!
+Every identity t-difference has integer coefficients: the ones with 1/m!
 weights (T6, T7_3, T7_4) are formed times n!, and a failing one is divided
 back by n! before its witness is written.
 
@@ -23,13 +24,13 @@ per (identity, n, k).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ParamPoly, QRat
-from .families import family_t, specialize
+from .families import FAMILIES, family_t, specialize
+from .series import family_gf_t
 from .stirling import (
     substitute_weight,
     weighted_stirling1,
@@ -44,7 +45,9 @@ __all__ = [
     "check_kind_reciprocity",
     "check_mixed_expansions",
     "check_orthogonality",
+    "report_record",
     "reports_to_json_lines",
+    "run_gf_sweep",
     "run_identity_sweep",
 ]
 
@@ -56,8 +59,7 @@ IDENTITY_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     n: int
     k: int | None
@@ -78,25 +80,27 @@ def _memoized(body, n: int) -> tuple:
                                     weighted_stirling1, weighted_stirling2))
 
 
-def _verdicts(ids: Sequence[str], n: int, k: int, body,
-              scales: Sequence[int]) -> list[IdentityReport]:
-    """Judge the memoized t-differences body(n), one per identity, at k.
-
-    Row i is scales[i] times its identity's difference, cleared of
-    denominators so that it is built in integers; only a failing row is
-    divided back, so its witness is the difference itself."""
+def _verdict(identity_id: str, n: int, k: int, tdiff,
+             scale: int) -> IdentityReport:
+    """The verdict on tdiff at k, the rule of every exact check. tdiff is
+    scale times a difference, cleared of denominators; only a failing one
+    is divided back, so the witness is the difference itself."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
-    out = []
-    for i, d, s in zip(ids, _memoized(body, n), scales):
-        witness = None
-        if d:   # a zero t-difference is () and zero at every k
-            d = specialize(d, k)
-            if not d.is_zero():
-                witness = format_param_poly(d.scale(QRat(1, s)))
-        out.append(IdentityReport(i, n, k, "failed" if witness else
-                                  "verified", witness))
-    return out
+    if tdiff:   # a zero t-difference is () and zero at every k
+        d = specialize(tdiff, k)
+        if not d.is_zero():
+            return IdentityReport(identity_id, n, k, "failed",
+                                  format_param_poly(d.scale(QRat(1, scale))))
+    return IdentityReport(identity_id, n, k, "verified")
+
+
+def _verdicts(ids: Sequence[str], n: int, k: int, body,
+              scales: Sequence[int]) -> list[IdentityReport]:
+    """The verdicts at k on the memoized t-differences body(n), one per
+    identity; row i of body(n) is scales[i] times its difference."""
+    return [_verdict(i, n, k, d, s)
+            for i, d, s in zip(ids, _memoized(body, n), scales)]
 
 
 def _trim(tvalue) -> tuple[ParamPoly, ...]:
@@ -269,10 +273,6 @@ def _mixed_t(n: int) -> tuple:
     return tuple(out)
 
 
-def _sort_key(r: IdentityReport):
-    return (r.identity_id, r.n, r.k if r.k is not None else 0)
-
-
 def run_identity_sweep(nmax: int = 10, nmax_mixed: int = 8,
                        k_values: Sequence[int] = range(-2, 4)
                        ) -> list[IdentityReport]:
@@ -288,15 +288,30 @@ def run_identity_sweep(nmax: int = 10, nmax_mixed: int = 8,
                 reports.extend(check_kind_reciprocity(n, k))
         for n in range(nmax_mixed + 1):
             reports.extend(check_mixed_expansions(n, k))
-    reports.sort(key=_sort_key)
+    reports.sort(key=lambda r: (r.identity_id, r.n, r.k or 0))
     return reports
 
 
+def run_gf_sweep(nmax: int, k_values: Sequence[int]) -> list[IdentityReport]:
+    """Each family's generating function against its values for n <= nmax:
+    n! [t^n] S_j - P_{n,j}, formed once per (family, n) in the t-basis and
+    judged at each k. Reports are GF_<family>, in (family, n, k) order."""
+    reports = []
+    for family in FAMILIES:
+        gf = family_gf_t(family, nmax)
+        for n in range(nmax + 1):
+            diff = _trim(c.scale(factorial(n)) - p
+                         for c, p in zip(gf[n], family_t(family, n)))
+            reports.extend(_verdict("GF_" + family, n, k, diff, 1)
+                           for k in k_values)
+    return reports
+
+
+def report_record(r: IdentityReport) -> dict:
+    """The JSON record of one report."""
+    return {"identity": r.identity_id, "n": r.n, "k": r.k,
+            "status": r.status, "witness": r.witness}
+
+
 def reports_to_json_lines(reports: Iterable[IdentityReport]) -> str:
-    lines = []
-    for r in reports:
-        lines.append(json.dumps(
-            {"identity": r.identity_id, "n": r.n, "k": r.k,
-             "status": r.status, "witness": r.witness},
-            sort_keys=False))
-    return "\n".join(lines)
+    return "\n".join(json.dumps(report_record(r)) for r in reports)

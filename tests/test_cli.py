@@ -91,20 +91,27 @@ def test_table_writes_each_row_before_building_the_next(
     assert lines_out == [first + n for n in range(4)]
 
 
-@pytest.mark.parametrize("family", ["polyBernoulli", "polyCauchy1",
-                                    "polyCauchy2"])
-def test_table_leaves_the_closed_form_cache_alone(capsys, family):
+@pytest.mark.parametrize("argv", [
+    ["table", family, "--nmax", "6", "--k", "-3"]
+    for family in ("polyBernoulli", "polyCauchy1", "polyCauchy2")] + [
+    ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "2",
+     "--q", "0.5"],
+    ["verify", "--scope", "oracle", "--q", "0.5"],
+], ids=["polyBernoulli", "polyCauchy1", "polyCauchy2", "oracle",
+        "verify-oracle"])
+def test_table_leaves_the_closed_form_cache_alone(capsys, argv):
     closed_forms = (families.poly_bernoulli, families.poly_cauchy1,
                     families.poly_cauchy2)
     for f in closed_forms:
         f.cache_clear()
-    code, out = run_cli(capsys, "table", family, "--nmax", "6", "--k", "-3")
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     assert [f.cache_info().currsize for f in closed_forms] == [0, 0, 0]
-    # the rows are still the closed forms
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert [parse_param_poly(r[-1]) for r in rows] == [
-        families.family_value(family, n, -3) for n in range(7)]
+    if argv[0] == "table":
+        # the rows are still the closed forms
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [parse_param_poly(r[-1]) for r in rows] == [
+            families.family_value(argv[1], n, -3) for n in range(7)]
 
 
 def test_table_latex_at_q1_renders_latex(capsys):
@@ -274,7 +281,7 @@ def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
 def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
     # z^2 on the t_0 component of P_{2,m} adds z^2 to the value c_2 at every
     # k, so n! [t^2] S_j - P_{2,j} specializes to -z^2
-    true_value = cli.family_t
+    true_value = identities.family_t
 
     def perturbed(family, n, slot="z"):
         value = true_value(family, n, slot)
@@ -282,7 +289,7 @@ def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
             return value
         return (value[0] + ParamPoly.monomial(1, z=2),) + value[1:]
 
-    monkeypatch.setattr(cli, "family_t", perturbed)
+    monkeypatch.setattr(identities, "family_t", perturbed)
     code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
                         "--k", "0,1")
     assert code == 1
@@ -293,6 +300,26 @@ def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
                       for k in (0, 1)]
     # a passing record stays as it was, with no witness key
     assert all("witness" not in r for r in recs if r["status"] == "verified")
+
+
+def test_verify_gf_judges_with_the_identities_judge(monkeypatch, capsys):
+    # the gf sweep keeps no verdict rule of its own: every record is one
+    # call of identities._verdict
+    true_verdict = identities._verdict
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return true_verdict(*args)
+
+    monkeypatch.setattr(identities, "_verdict", counted)
+    code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "2",
+                        "--k", "0,1")
+    assert code == 0
+    assert len(calls) == 3 * 3 * 2
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, out.count("\n")) == (
+        "ab22d5c6e882ad2c2b14b18cbcf9e2a3ac2a93c4f02358d5b543eb5abae72655", 18)
 
 
 def test_verify_identities_scope(capsys):
@@ -443,6 +470,9 @@ def test_usage_errors_exit_2(capsys, argv):
      "--k=%d" % (-cli.K_LIMIT - 1)],
     ["oracle", "--family", "polyCauchy1", "--n", "1",
      "--k", str(cli.K_LIMIT + 1), "--q", "0.5"],
+    # the oracle's q is refused before the first sweep of any scope
+    ["verify", "--scope", "gf", "--q", "7"],
+    ["verify", "--scope", "all", "--q", "7"],
 ])
 def test_sizes_beyond_the_limit_are_refused_before_any_build(
         monkeypatch, capsys, argv):
@@ -455,8 +485,8 @@ def _refuse_builds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a family was built")
 
-    for name in ("family_value", "family_t", "family_gf_t",
-                 "run_identity_sweep", "oracle_family"):
+    for name in ("family_t", "run_gf_sweep", "run_identity_sweep",
+                 "oracle_family"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -504,11 +534,36 @@ def test_config_tolerance_must_be_finite(tmp_path, capsys, text):
     cfg.write_text(text)
     for argv in (["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
                   "--q", "0.5"],
-                 ["verify", "--scope", "oracle"]):
+                 ["verify", "--scope", "oracle"],
+                 ["verify", "--scope", "identities"]):
         assert main(argv + ["--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("scope", ["gf", "identities", "all"])
+def test_a_bad_oracle_config_is_refused_before_any_build(
+        monkeypatch, tmp_path, capsys, scope):
+    _refuse_builds(monkeypatch)
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("oracle_truncation = 0\n")
+    assert main(["verify", "--scope", scope, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: truncation must be positive\n"
+
+
+def test_oracle_refuses_a_zero_rho_before_building_the_value(
+        monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the value was built")
+
+    for name in ("family_t", "specialize", "eval_numeric"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+                 "--q", "0.5", "--rho", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rho must be nonzero\n"
+    assert captured.out == ""
 
 
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
