@@ -2,8 +2,8 @@
 polynomials in (rho, z, y).
 
 q is a formal indeterminate throughout this module. It is only ever bound
-to a number inside eval_numeric (floats in (0, 1)) and eval_at_q1 (exact
-substitution q = 1). Every value is immutable after construction, so
+to a number inside eval_numeric (floats in (0, 1)) and QRat.eval_at_q1
+(exact substitution q = 1). Every value is immutable after construction, so
 instances may be shared freely, including between threads.
 
 A QPoly coefficient is an int when it is integral and a Fraction with
@@ -35,7 +35,6 @@ __all__ = [
     "ParamPoly",
     "QPoly",
     "QRat",
-    "eval_at_q1",
     "eval_numeric",
     "q_number",
     "q_number_power_inverse",
@@ -145,10 +144,6 @@ class QPoly:
         p = cls.__new__(cls)
         p.coeffs = coeffs
         return p
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return _QP_ZERO
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -384,22 +379,9 @@ class QRat:
         other = _coerce_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return _QR_ZERO
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        # a constant shares no factor, so only q-dependent pairs can cancel
-        if (d.degree > 0 and a.degree > 0) or (b.degree > 0 and c.degree > 0):
-            return QRat(a * c, b * d)
-        return QRat._raw(a * c, b * d)
+        return QRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QRat":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        inv = _div(1, self.num.leading)
-        return QRat._raw(self.den * inv, self.num * inv)
 
     def evaluate(self, q: Union[float, Fraction]):
         """Value at a float q, or exactly at a Fraction q."""
@@ -510,12 +492,6 @@ class ParamPoly:
         if rho < 0 or z < 0 or y < 0:
             raise ValueError("negative exponent")
         return cls._raw({(rho, z, y): c})
-
-    @classmethod
-    def var(cls, name: str) -> "ParamPoly":
-        e = [0, 0, 0]
-        e[_EXPONENT_SLOTS[name]] = 1
-        return cls._raw({tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -641,11 +617,6 @@ def q_number_power_inverse(m: int, k: int) -> QRat:
     if k > 0:
         return QRat._raw(_QP_ONE, base ** k)
     return QRat._raw(base ** (-k), _QP_ONE)
-
-
-def eval_at_q1(value: Union[QRat, Scalar]) -> Fraction:
-    """Exact substitution q = 1 into a canonical QRat or a q-free scalar."""
-    return _coerce_qrat(value).eval_at_q1()
 
 
 def eval_numeric(value, *, q: float, rho: float | None = None,

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact, eval_at_q1,
+from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact,
                    q_number_power_inverse)
 from .stirling import (
     stirling1,
@@ -159,4 +159,4 @@ def family_value(family: str, n: int, k: int) -> ParamPoly:
 def classical_number(family: str, n: int, k: int) -> Fraction:
     """Exact value at z = 0, rho = 1, q -> 1."""
     v = family_value(family, n, k).at_q1().substitute(rho=1, z=0, y=0)
-    return eval_at_q1(v.constant_term())
+    return Fraction(v.constant_term())

@@ -24,11 +24,12 @@ per (identity, n, k).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import ParamPoly, QRat
+from .core import ParamPoly
 from .families import FAMILIES, family_t, specialize
 from .series import family_gf_t
 from .stirling import (
@@ -90,8 +91,8 @@ def _verdict(identity_id: str, n: int, k: int, tdiff,
     if tdiff:   # a zero t-difference is () and zero at every k
         d = specialize(tdiff, k)
         if not d.is_zero():
-            return IdentityReport(identity_id, n, k, "failed",
-                                  format_param_poly(d.scale(QRat(1, scale))))
+            witness = format_param_poly(d.scale(Fraction(1, scale)))
+            return IdentityReport(identity_id, n, k, "failed", witness)
     return IdentityReport(identity_id, n, k, "verified")
 
 

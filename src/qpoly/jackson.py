@@ -93,8 +93,13 @@ def oracle_family(family: str, n: int, k: int, rho: float, z: float,
         a = (u - z) / den
         return math.prod([a - i for i in range(n)])
     value, tail = _jackson_sum(falling, k, cfg)
-    tail *= abs(scale)
+    value, tail = scale * value, tail * abs(scale)
+    # an overflowing integrand times an underflowing rho^n reads NaN; an
+    # infinite tail with a finite value only means the sum cannot converge
+    if not math.isfinite(value) or math.isnan(tail):
+        raise OverflowError("the oracle's value at rho = %r leaves the float "
+                            "range" % rho)
     if tail > cfg.tolerance:
         raise NonconvergedTruncation(
             "tail bound %.3g exceeds tolerance %.3g" % (tail, cfg.tolerance))
-    return scale * value
+    return value

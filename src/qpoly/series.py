@@ -44,8 +44,8 @@ def _coerce_coeff(c) -> ParamPoly:
 class TruncSeries:
     """Power series in t truncated at a fixed order.
 
-    Arithmetic between two series yields the smaller of the two orders, so
-    a result never claims coefficients that were not actually computed.
+    A product of two series has the smaller of the two orders, so a result
+    never claims coefficients that were not actually computed.
     """
 
     __slots__ = ("coeffs",)
@@ -58,15 +58,6 @@ class TruncSeries:
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls([ParamPoly.const(1)] + [ParamPoly.zero()] * order)
-
-    @classmethod
-    def identity(cls, order: int) -> "TruncSeries":
-        """The series t."""
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        coeffs = [ParamPoly.zero()] * (order + 1)
-        coeffs[1] = ParamPoly.const(1)
-        return cls(coeffs)
 
     @property
     def order(self) -> int:
@@ -87,17 +78,6 @@ class TruncSeries:
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self.coeffs])
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -135,9 +115,7 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
 
 
 def series_exp(f: TruncSeries) -> TruncSeries:
-    """exp(f) for f with zero constant term."""
-    if not f.coeffs[0].is_zero():
-        raise NonZeroConstantTerm("exponential argument must vanish at t=0")
+    """exp(f) for f with zero constant term (series_compose checks it)."""
     n = f.order
     outer = TruncSeries([ParamPoly.const(Fraction(1, factorial(i)))
                          for i in range(n + 1)])

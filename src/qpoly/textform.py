@@ -5,11 +5,11 @@ The canonical text is deterministic and round-trips exactly:
 - a QPoly is its nonzero terms in ascending powers of q joined by " + ":
   "c" for q^0 and "c*q^e" for e >= 1, each c an int or a reduced "a/b";
   the zero polynomial is "0";
-- a QRat is "(num)/(den)" with den monic and coprime to num, and every
-  ParamPoly term is written so, even when den is 1;
-- a ParamPoly term is its "(num)/(den)" followed by "*rho^a", "*z^b" and
-  "*y^c" in that order, for the exponents >= 1 only; terms are joined by
-  " + " in ascending (a, b, c) order, and the zero value is "0".
+- a ParamPoly term is its coefficient as a QRat "(num)/(den)", den monic
+  and coprime to num (and written even when it is 1), followed by
+  "*rho^a", "*z^b" and "*y^c" in that order, for the exponents >= 1 only;
+  terms are joined by " + " in ascending (a, b, c) order, and the zero
+  value is "0".
 
 parse_* also accept non-canonical input and normalize it: q-powers,
 variables and terms in any order or repeated (they add up), coefficients
@@ -28,12 +28,10 @@ from .core import _EXPONENT_SLOTS, ParamPoly, QPoly, QRat
 __all__ = [
     "format_param_poly",
     "format_qpoly",
-    "format_qrat",
     "latex_param_poly",
     "latex_qrat",
     "parse_param_poly",
     "parse_qpoly",
-    "parse_qrat",
 ]
 
 _TERM_RE = re.compile(
@@ -70,17 +68,6 @@ def parse_qpoly(text: str) -> QPoly:
             out.extend([0] * (exponent + 1 - len(out)))
             out[exponent] += c
     return QPoly(out)
-
-
-def format_qrat(r: QRat) -> str:
-    return "(%s)/(%s)" % (format_qpoly(r.num), format_qpoly(r.den))
-
-
-def parse_qrat(text: str) -> QRat:
-    m = _TERM_RE.match(text.strip())
-    if m is None or m.group("vars"):
-        raise ValueError("not a canonical rational function: %r" % text)
-    return QRat(parse_qpoly(m.group("num")), parse_qpoly(m.group("den")))
 
 
 def format_param_poly(p: ParamPoly) -> str:

@@ -284,3 +284,56 @@ def cauchy_integral_reference(family, n, k, rho, z, q, terms):
     quad = {1: jackson_integral_reference,
             2: jackson_integral_2d_reference}[k]
     return rho ** n * quad(integrand, q, terms)
+
+
+# --------------------------------------------------------------------------
+# the families at an exact q, for any integer depth k
+
+
+def q_int(m, q):
+    """[m]_q = 1 + q + ... + q^(m-1) at an exact q."""
+    return sum(F(q) ** i for i in range(m))
+
+
+def _linear_product(factors):
+    """Coefficients in x of prod (a x + b) over the (a, b) factors."""
+    out = [ONE]
+    for a, b in factors:
+        nxt = [ZERO] * (len(out) + 1)
+        for j, c in enumerate(out):
+            nxt[j] += c * b
+            nxt[j + 1] += c * a
+        out = nxt
+    return out
+
+
+def q_family(family, n, k, q, rho, z):
+    """n-th value of the named family at exact Fractions q, rho != 0 and z,
+    for any integer k, with t_j = [j+1]_q^(-k).
+
+    The Cauchy kinds come from their defining k-fold Jackson integrals:
+    rho^n times the falling factorial of (x - z)/rho (first kind) or
+    (z - x)/rho (second) is prod_i (x - z - i rho) or prod_i (z - x - i rho),
+    with x = x_1...x_k, and the k-fold Jackson moment of x^j is t_j. So the
+    value is sum_j [x^j] t_j, which extends to every k. The Bernoulli type
+    is its weighted sum sum_m S2(n, m, z/rho) (-rho)^(n-m) m! t_m over this
+    module's weighted_s2_poly.
+    """
+    q, rho, z = F(q), F(rho), F(z)
+    if rho == 0:
+        raise ValueError("rho must be nonzero")
+    t = [q_int(j + 1, q) ** -k for j in range(n + 1)]
+    if family == "polyBernoulli":
+        x = z / rho
+        s2 = [sum(c * x ** j for j, c in enumerate(weighted_s2_poly(n, m)))
+              for m in range(n + 1)]
+        return sum(s2[m] * (-rho) ** (n - m) * factorial(m) * t[m]
+                   for m in range(n + 1))
+    if family == "polyCauchy1":
+        sign = ONE
+    elif family == "polyCauchy2":
+        sign = -ONE
+    else:
+        raise ValueError("unknown family %r" % (family,))
+    coeffs = _linear_product([(sign, -sign * z - i * rho) for i in range(n)])
+    return sum(c * t[j] for j, c in enumerate(coeffs))

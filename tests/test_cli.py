@@ -262,6 +262,93 @@ def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, scope):
     assert (digest, out.count("\n")) == PINNED_VERIFY[scope]
 
 
+# sha256 and line count of table and value stdout in every output mode:
+# symbolic (csv, json, latex), exact at q = 1 with rho and z symbolic or
+# bound, and numeric under --q
+PINNED_VALUES = {
+    "table-csv": (
+        ["table", "polyBernoulli", "--nmax", "6", "--k", "2"],
+        "54d9c27ae5e5ca7090acf6eacc9ecfa6ae56ba57c4f51e4936e755a8a54b523b", 8),
+    "table-json": (
+        ["table", "polyCauchy1", "--nmax", "6", "--k", "-2",
+         "--format", "json"],
+        "fe23cf2b7abe03090eb2c18c58a4de701f59bc1a092b028c214067bb480eb3ca", 7),
+    "value-json": (
+        ["value", "--family", "polyCauchy2", "--n", "7", "--k", "3"],
+        "a775570346b732c7581ea7b4f183d86d9863a776bf142103f8760022d96464cd", 1),
+    "value-csv": (
+        ["value", "--family", "polyBernoulli", "--n", "7", "--k", "-1",
+         "--format", "csv"],
+        "c73b704e3bb48407f1b6d193bfc8d673dc935d481ba5525478a62c651cbd82a0", 2),
+    "table-latex": (
+        ["table", "polyCauchy2", "--nmax", "5", "--k", "1",
+         "--format", "latex"],
+        "e49663bdb0e1787db7b625f2968f5db0a60ed2331cc58f1d52fbd69028c796e3", 8),
+    "value-latex": (
+        ["value", "--family", "polyCauchy1", "--n", "6", "--k", "-2",
+         "--format", "latex"],
+        "87c8063482ec3d23056bed1504d3a9a57e9a975086744f76c16ce3d51e6b18de", 3),
+    "table-at-q1": (
+        ["table", "polyBernoulli", "--nmax", "6", "--k", "-1", "--at-q1"],
+        "ecde4d49ac78605921f5c4a082366ed752ab574a6dabca0b8e943e094a74bc17", 8),
+    "value-at-q1": (
+        ["value", "--family", "polyCauchy1", "--n", "6", "--k", "2",
+         "--at-q1", "--z", "1/3"],
+        "f719a923f0c2371bf6a7a1be22100164278528e71be60134670e8c2cf02a0b36", 1),
+    "table-at-q1-rho": (
+        ["table", "polyCauchy2", "--nmax", "6", "--k", "2", "--at-q1",
+         "--rho", "1/2", "--z", "-3"],
+        "1ea8a59cbff56fb33da4c35441f27fa0550c7f0eba3e86c68c637bc4515744f9", 8),
+    "value-at-q1-rho-latex": (
+        ["value", "--family", "polyBernoulli", "--n", "6", "--k", "3",
+         "--at-q1", "--rho", "2", "--format", "latex"],
+        "1368e30d1196cf4786af8b8bc897f2efd013da00acceb1d7f26c6d22f9e79583", 3),
+    "table-q": (
+        ["table", "polyCauchy1", "--nmax", "6", "--k", "3", "--q", "0.3",
+         "--rho", "2", "--z", "1/3"],
+        "78550d57015b6797415422f28caad7b0fdf88b1e79733aad652a8b09808ad2a6", 8),
+    "value-q": (
+        ["value", "--family", "polyBernoulli", "--n", "8", "--k", "-2",
+         "--q", "0.7", "--rho=-1/2", "--z", "0.25"],
+        "ca3389f6ce8c51a9845c964a7d562832a59a9d663b696b40782260e6e39ddc6f", 1),
+}
+
+
+def _assert_pinned_values(capsys, mode):
+    argv, digest, lines = PINNED_VALUES[mode]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            out.count("\n")) == (digest, lines)
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_VALUES))
+def test_value_stdout_is_pinned(capsys, mode):
+    _assert_pinned_values(capsys, mode)
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_VALUES))
+def test_values_never_enter_the_q_kernel(monkeypatch, capsys, mode):
+    # a value is specialized from q-free t-basis terms, each a constant
+    # over a q-number power or a q-number power alone, so printing it needs
+    # no gcd, no QRat sum and no product of two QRats
+    def refuse(*args):
+        raise AssertionError("a value command entered the q-kernel")
+
+    true_mul = QRat.__mul__
+
+    def scalar_mul_only(self, other):
+        if isinstance(other, QRat):
+            refuse()
+        return true_mul(self, other)
+
+    families.family_t.cache_clear()
+    monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
+    monkeypatch.setattr(QRat, "__add__", refuse)
+    monkeypatch.setattr(QRat, "__mul__", scalar_mul_only)
+    _assert_pinned_values(capsys, mode)
+
+
 def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
     # z^n/n! on the t_0 component of each t^n coefficient adds z^n to the
     # n-th family value of the series at every k, since t_0 = 1
@@ -447,6 +534,12 @@ TABLE_ARGS = ["table", "polyBernoulli", "--nmax", "3", "--k", "1"]
     TABLE_ARGS + ["--z", "1/3", "--format", "latex"],
     TABLE_ARGS + ["--q", "1.5"],
     TABLE_ARGS + ["--at-q1", "--rho", "1/0", "--format", "latex"],
+    # values the oracle cannot hold as floats: rho^n overflows, or it
+    # underflows while the falling factorial overflows (no NaN is printed)
+    ["oracle", "--family", "polyCauchy1", "--n", "10", "--k", "1",
+     "--q", "0.5", "--rho", "1e200", "--z", "0.3"],
+    ["oracle", "--family", "polyCauchy1", "--n", "10", "--k", "1",
+     "--q", "0.5", "--rho", "1e-40", "--z", "0.3"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2

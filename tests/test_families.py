@@ -11,7 +11,6 @@ from qpoly import (
     ParamPoly,
     QRat,
     classical_number,
-    eval_at_q1,
     family_gf_t,
     family_t,
     family_value,
@@ -92,9 +91,27 @@ def test_general_parameter_limit_matches_series_oracle():
             for rho in (F(2), F(-1, 2)):
                 for n in range(7):
                     v = family_value(fam, n, k).substitute(rho=rho, z=F(1, 3))
-                    got = eval_at_q1(v.constant_term())
+                    got = v.at_q1().constant_term()
                     want = O.classical_family(fam, n, k, rho=rho, z=F(1, 3))
                     assert got == want, (fam, n, k, rho)
+
+
+# exact (q, rho, z) points for the q-dependence check
+Q_POINTS = ((F(1, 3), F(2), F(1, 5)), (F(7, 10), F(-1, 2), F(2, 3)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_q_dependence_matches_exact_oracle(family):
+    """Each value at exact q, rho, z, term by term through QRat.evaluate,
+    against the stdlib oracle: Jackson moments for the Cauchy kinds, the
+    oracle's own weighted S2 for the Bernoulli type."""
+    for q, rho, z in Q_POINTS:
+        for k in range(-2, 4):
+            for n in range(11):
+                value = family_value(family, n, k)
+                got = sum(c.evaluate(q) * rho ** e[0] * z ** e[1]
+                          for e, c in value.sorted_terms())
+                assert got == O.q_family(family, n, k, q, rho, z), (n, k, q)
 
 
 def test_symbolic_low_order_forms():
@@ -119,8 +136,8 @@ def test_order_zero_is_one():
 
 def test_depth_zero_products():
     # at k = 0 both Cauchy kinds collapse to factorial-style products
-    z = ParamPoly.var("z")
-    rho = ParamPoly.var("rho")
+    z = ParamPoly.monomial(1, z=1)
+    rho = ParamPoly.monomial(1, rho=1)
     one = ParamPoly.const(1)
     for n in range(7):
         first = one

@@ -109,6 +109,10 @@ def test_oracle_weights_past_the_float_range_raise_overflow():
     # the CLI refuses such a depth first (cli.K_LIMIT); the library raises
     with pytest.raises(OverflowError):
         oracle_family("polyCauchy1", 2, 400, 1.0, 0.0, OracleConfig(q=0.3))
+    # so does a value past it: at rho = 1e-40 the falling factorial
+    # overflows and rho^10 underflows, and their product would read NaN
+    with pytest.raises(OverflowError):
+        oracle_family("polyCauchy1", 10, 1, 1e-40, 0.3, OracleConfig(q=0.5))
 
 
 @pytest.mark.parametrize("rho, z", [(math.nan, 0.0), (1.0, math.inf),
