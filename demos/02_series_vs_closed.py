@@ -44,6 +44,6 @@ print()
 col = gf_weighted_stirling("second", 2, ORDER)
 for n in range(2, 5):
     lhs = egf_coefficient(col, n)
-    rhs = weighted_stirling2(n, 2).as_param_poly("z")
+    rhs = weighted_stirling2(n, 2).as_param_poly()
     print("column m=2, n=%d:" % n, format_param_poly(rhs),
           "(series agrees: %s)" % (lhs == rhs))

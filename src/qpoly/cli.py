@@ -27,8 +27,8 @@ __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
 
 DEFAULT_CONFIG = {
     "series_order": 12,      # order of the generating-function sweep
-    "oracle_truncation": 200,
-    "tolerance": 1e-9,
+    "oracle_truncation": OracleConfig.truncation,
+    "tolerance": OracleConfig.tolerance,
     "k_range": (-2, 3),      # inclusive sweep bounds
     "nmax_identities": 10,
     "nmax_mixed": 8,
@@ -184,7 +184,7 @@ def _evaluate(value: ParamPoly, args, rho, z) -> tuple:
     """(vars, printable value, exact value) of value at the point that
     _eval_point returned; the exact value is None under --q."""
     if args.q is not None:
-        num = eval_numeric(value, q=args.q, rho=rho, z=z, y=0.0)
+        num = eval_numeric(value, q=args.q, rho=rho, z=z)
         return {"q": args.q, "rho": rho, "z": z}, num, None
     if args.at_q1:
         out = value.at_q1().substitute(rho=rho, z=z)
@@ -281,7 +281,7 @@ def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
                     for rho in (1.0, 2.0, -0.5):
                         for z in (0.0, 1 / 3):
                             closed = eval_numeric(value, q=cfg.q, rho=rho,
-                                                  z=z, y=0.0)
+                                                  z=z)
                             numeric = oracle_family(family, n, k, rho, z, cfg)
                             err, ok = _oracle_verdict(closed, numeric,
                                                       cfg.tolerance)
@@ -343,7 +343,7 @@ def _cmd_oracle(args, out) -> int:
     # the oracle refuses a bad rho or z before the closed form is built
     numeric = oracle_family(args.family, args.n, args.k, args.rho, args.z, ocfg)
     closed = eval_numeric(specialize(family_t(args.family, args.n), args.k),
-                          q=args.q, rho=args.rho, z=args.z, y=0.0)
+                          q=args.q, rho=args.rho, z=args.z)
     vars_ = {"q": args.q, "rho": args.rho, "z": args.z}
     out.write(json.dumps(_record(args.family, args.n, args.k, vars_,
                                  closed, "closed_form")) + "\n")

@@ -9,7 +9,7 @@ functions of q, built from weighted Stirling sums:
 
 k may be any integer. q and k enter only through the scalars
 t_m = [m+1]_q^(-k), so `family_t` builds each value once in the t-basis,
-as q-free polynomials P_{n,m}(rho, z, y) with value sum_m t_m P_{n,m}, and
+as q-free polynomials P_{n,m}(rho, z) with value sum_m t_m P_{n,m}, and
 `specialize` binds the t_m at one k. A relation linear in the family
 values that holds with the t_m formal holds for every k and q.
 
@@ -51,10 +51,9 @@ FAMILIES = ("polyBernoulli", "polyCauchy1", "polyCauchy2")
 
 
 @lru_cache(maxsize=None)
-def family_t(family: str, n: int, slot: str = "z") -> tuple[ParamPoly, ...]:
-    """The family's value at order n in the t-basis: P_{n,m} is the m-th
-    term of its closed form without the 1/[m+1]_q^k. substitute_weight
-    checks the slot."""
+def family_t(family: str, n: int) -> tuple[ParamPoly, ...]:
+    """The family's value at order n in the t-basis: P_{n,m}(rho, z) is
+    the m-th term of its closed form without the 1/[m+1]_q^k."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % family)
     if n < 0:
@@ -66,8 +65,8 @@ def family_t(family: str, n: int, slot: str = "z") -> tuple[ParamPoly, ...]:
         c = factorial(m) if bernoulli else 1
         if (n if second else n - m) % 2:
             c = -c
-        out.append(substitute_weight(table(n, m), -1 if second else 1,
-                                     slot).scale(c))
+        out.append(substitute_weight(table(n, m),
+                                     -1 if second else 1).scale(c))
     return tuple(out)
 
 
@@ -158,5 +157,5 @@ def family_value(family: str, n: int, k: int) -> ParamPoly:
 
 def classical_number(family: str, n: int, k: int) -> Fraction:
     """Exact value at z = 0, rho = 1, q -> 1."""
-    v = family_value(family, n, k).at_q1().substitute(rho=1, z=0, y=0)
+    v = family_value(family, n, k).at_q1().substitute(rho=1, z=0)
     return Fraction(v.constant_term())

@@ -121,21 +121,22 @@ def _t_combination(pairs) -> tuple[ParamPoly, ...]:
                  for j in range(max(len(v) for _, v in pairs)))
 
 
-def _inverse_lhs(n: int, slot: str) -> list[tuple[ParamPoly, ...]]:
-    """The inverse relations' left sides at n in the t-basis, the weight
-    variable v in the given slot: sum_m S(n, m, +-v/rho) rho^(n-m) F_m(v)."""
-    return [_t_combination([(substitute_weight(table(n, m), sign, slot),
-                             family_t(family, m, slot))
-                            for m in range(n + 1)])
-            for table, sign, family in (
-                (weighted_stirling1, 1, "polyBernoulli"),
-                (weighted_stirling2, 1, "polyCauchy1"),
-                (weighted_stirling2, -1, "polyCauchy2"))]
+def _inverse_lhs(n: int) -> tuple:
+    """The inverse relations' left sides at n in the t-basis,
+    sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z), as a _memoized body."""
+    return tuple(_t_combination([(substitute_weight(table(n, m), sign),
+                                  family_t(family, m))
+                                 for m in range(n + 1)])
+                 for table, sign, family in (
+                     (weighted_stirling1, 1, "polyBernoulli"),
+                     (weighted_stirling2, 1, "polyCauchy1"),
+                     (weighted_stirling2, -1, "polyCauchy2")))
 
 
-def _inverse_lhs_y(n: int) -> list[tuple[ParamPoly, ...]]:
-    """The T7 inner sums: _inverse_lhs in the y slot, as a _memoized body."""
-    return _inverse_lhs(n, "y")
+def _z_to_y(tvalue) -> tuple[ParamPoly, ...]:
+    """tvalue, free of y, with z renamed to y."""
+    return tuple(ParamPoly._raw({(a, 0, b): c for (a, b, _), c in
+                                 p.terms.items()}) for p in tvalue)
 
 
 def check_orthogonality(n: int) -> list[IdentityReport]:
@@ -187,7 +188,7 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
 def _inverse_t(n: int) -> tuple:
     # each right side is a multiple of t_n
     return tuple(_trim(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),))
-                 for lhs, rhs in zip(_inverse_lhs(n, "z"),
+                 for lhs, rhs in zip(_memoized(_inverse_lhs, n),
                                      (factorial(n), 1, (-1) ** n)))
 
 
@@ -232,16 +233,18 @@ def _reciprocity_t(n: int) -> tuple:
 
 def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
     """The four double-sum expansions mixing the families through two
-    independent weights. With x in the z slot, y in the y slot, and all
-    rho powers cleared into the weights, they read
+    independent weights z and y. With all rho powers cleared into the
+    weights, they read
 
-        B_n(x) = sum_{l,m} (-1)^(n-m) m! S2x(n,m) S2y(m,l) c_l(y)
-        B_n(x) = sum_{l,m} (-1)^n     m! S2x(n,m) S2y-(m,l) g_l(y)
-        c_n(x) = sum_{l,m} (-1)^(n-m)/m! S1x(n,m) S1y(m,l) B_l(y)
-        g_n(x) = sum_{l,m} (-1)^n    /m! S1x-(n,m) S1y(m,l) B_l(y)
+        B_n(z) = sum_{l,m} (-1)^(n-m) m! S2z(n,m) S2y(m,l) c_l(y)
+        B_n(z) = sum_{l,m} (-1)^n     m! S2z(n,m) S2y-(m,l) g_l(y)
+        c_n(z) = sum_{l,m} (-1)^(n-m)/m! S1z(n,m) S1y(m,l) B_l(y)
+        g_n(z) = sum_{l,m} (-1)^n    /m! S1z-(n,m) S1y(m,l) B_l(y)
 
-    where S*x, S*y are weighted Stirling polynomials under the weight
-    substitution in the named slot and a trailing minus marks weight -v.
+    where S*z, S*y are weighted Stirling polynomials under the weight
+    substitution in z or y and a trailing minus marks a negated weight.
+    Each inner sum over l is an inverse relation's left side at m (see
+    check_inverse_relations), built once in z and read with z renamed y.
     The last two differences are built times n!, with the integer weights
     n!/m!, so every check runs in integers; a failure's witness is divided
     back by n!.
@@ -254,8 +257,9 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
 
 
 def _mixed_t(n: int) -> tuple:
-    # each sum over l is an inverse relation's left side in the y slot
-    inner = [_memoized(_inverse_lhs_y, m) for m in range(n + 1)]
+    # each sum over l is an inverse relation's left side, z renamed to y
+    inner = [[_z_to_y(lhs) for lhs in _memoized(_inverse_lhs, m)]
+             for m in range(n + 1)]
     out = []
     for lhs, table, sign, sign_by_m, cleared, relation in (
             ("polyBernoulli", weighted_stirling2, 1, True, False, 1),

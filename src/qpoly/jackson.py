@@ -62,7 +62,11 @@ def _jackson_sum(f: Callable[[float], float], k: int,
     scale, r = (1.0 - q) ** k, q * (s0 + k) / (s0 + 1)
     tail = (max(map(abs, vals)) * scale * math.comb(s0 + k - 1, k - 1)
             * q ** s0 / (1.0 - r) if r < 1.0 else math.inf)
-    return QuadResult(scale * math.fsum(terms), tail)
+    try:
+        total = math.fsum(terms)
+    except ValueError:   # fsum refuses inf + -inf; their sum reads NaN
+        total = math.nan
+    return QuadResult(scale * total, tail)
 
 
 def jackson_integral_1d(f: Callable[[float], float],
@@ -94,8 +98,9 @@ def oracle_family(family: str, n: int, k: int, rho: float, z: float,
         return math.prod([a - i for i in range(n)])
     value, tail = _jackson_sum(falling, k, cfg)
     value, tail = scale * value, tail * abs(scale)
-    # an overflowing integrand times an underflowing rho^n reads NaN; an
-    # infinite tail with a finite value only means the sum cannot converge
+    # an overflowing integrand times an underflowing rho^n reads NaN, as do
+    # integrand values that overflow to both infinities; an infinite tail
+    # with a finite value only means the sum cannot converge
     if not math.isfinite(value) or math.isnan(tail):
         raise OverflowError("the oracle's value at rho = %r leaves the float "
                             "range" % rho)

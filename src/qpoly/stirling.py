@@ -124,16 +124,10 @@ class WeightedStirling:
     kind: str  # "first" | "second"
     coeffs: tuple[int, ...]
 
-    def as_param_poly(self, slot: str = "z") -> ParamPoly:
-        """The plain weight polynomial with x placed in the given slot."""
-        if slot not in ("z", "y"):
-            raise ValueError("slot must be 'z' or 'y'")
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = (0, i, 0) if slot == "z" else (0, 0, i)
-                terms[e] = c
-        return ParamPoly._raw(terms)
+    def as_param_poly(self) -> ParamPoly:
+        """The plain weight polynomial with x read as z."""
+        return ParamPoly._raw({(0, i, 0): c
+                               for i, c in enumerate(self.coeffs) if c})
 
 
 def _weighted(n: int, m: int, second: bool) -> WeightedStirling:
@@ -164,18 +158,15 @@ def carlitz_expand(n: int, m: int) -> WeightedStirling:
     return WeightedStirling(n, m, "first", _xpoly_trim(coeffs))
 
 
-def substitute_weight(w: WeightedStirling, sign: int,
-                      slot: str = "z") -> ParamPoly:
-    """Clear the weight x = sign*v/rho against the rho^(n-m) prefactor.
+def substitute_weight(w: WeightedStirling, sign: int) -> ParamPoly:
+    """Clear the weight x = sign*z/rho against the rho^(n-m) prefactor.
 
-    Returns rho^(n-m) * poly(sign*v/rho) with v the slot variable: each
-    x^i becomes sign^i v^i rho^(n-m-i). The degree bound i <= n - m keeps
-    every rho exponent nonnegative.
+    Returns rho^(n-m) * poly(sign*z/rho): each x^i becomes
+    sign^i z^i rho^(n-m-i). The degree bound i <= n - m keeps every rho
+    exponent nonnegative.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if slot not in ("z", "y"):
-        raise ValueError("slot must be 'z' or 'y'")
     gap = w.n - w.m
     terms = {}
     for i, c in enumerate(w.coeffs):
@@ -183,7 +174,5 @@ def substitute_weight(w: WeightedStirling, sign: int,
             continue
         if i > gap:
             raise ValueError("weight degree exceeds n - m")
-        val = c if sign == 1 or i % 2 == 0 else -c
-        e = (gap - i, i, 0) if slot == "z" else (gap - i, 0, i)
-        terms[e] = val
+        terms[gap - i, i, 0] = c if sign == 1 or i % 2 == 0 else -c
     return ParamPoly._raw(terms)

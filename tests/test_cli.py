@@ -370,8 +370,8 @@ def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
     # k, so n! [t^2] S_j - P_{2,j} specializes to -z^2
     true_value = identities.family_t
 
-    def perturbed(family, n, slot="z"):
-        value = true_value(family, n, slot)
+    def perturbed(family, n):
+        value = true_value(family, n)
         if (family, n) != ("polyCauchy1", 2):
             return value
         return (value[0] + ParamPoly.monomial(1, z=2),) + value[1:]
@@ -656,6 +656,17 @@ def test_oracle_refuses_a_zero_rho_before_building_the_value(
                  "--q", "0.5", "--rho", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: rho must be nonzero\n"
+    assert captured.out == ""
+
+
+def test_oracle_terms_of_both_infinities_name_the_float_range(capsys):
+    # at rho = 1e-35 the integrand overflows to +inf at some nodes and to
+    # -inf at others; the sum is refused as out of range, not by fsum
+    assert main(["oracle", "--family", "polyCauchy2", "--n", "9", "--k", "2",
+                 "--q", "0.5", "--rho", "1e-35", "--z", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the oracle's value at rho = 1e-35 leaves "
+                            "the float range\n")
     assert captured.out == ""
 
 

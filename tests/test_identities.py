@@ -123,8 +123,8 @@ def _perturb_cauchy2(monkeypatch):
     at every k, so adding z^n to the t_0 component adds z^n to the value."""
     true_value = identities.family_t
 
-    def perturbed(family, n, slot="z"):
-        value = true_value(family, n, slot)
+    def perturbed(family, n):
+        value = true_value(family, n)
         if family != "polyCauchy2":
             return value
         return (value[0] + ParamPoly.monomial(1, z=n),) + value[1:]
@@ -152,9 +152,9 @@ def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
 
 
 def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch):
-    # the T7 inner sums are the inverse left sides in the y slot, memoized
-    # per n; T7_2 reads g_l(y) only through them, so its failure shows that
-    # the memo warmed here is not met once family_t is rebound
+    # the T7 inner sums are the inverse left sides, memoized per n and read
+    # with z renamed y; T7_2 reads g_l(y) only through them, so its failure
+    # shows that the memo warmed here is not met once family_t is rebound
     assert {r.status for r in check_mixed_expansions(2, 1)} == {"verified"}
     _perturb_cauchy2(monkeypatch)
     assert [(r.identity_id, r.status) for r in check_mixed_expansions(2, 1)] \
@@ -164,7 +164,8 @@ def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch):
 
 def test_rescaled_t7_witnesses_are_the_differences(monkeypatch):
     # T7_4 is built times n! and its witness divided back; T7_2 is built
-    # unscaled. The texts are those of the differences themselves.
+    # unscaled. The texts are those of the differences themselves. T7_2
+    # meets the plant only in its inner sums, as g_l(y) + y^l.
     _perturb_cauchy2(monkeypatch)
     at = {(n, k): {r.identity_id: r.witness
                    for r in check_mixed_expansions(n, k)}
@@ -172,10 +173,7 @@ def test_rescaled_t7_witnesses_are_the_differences(monkeypatch):
     assert at[2, 1]["T7_4"] == "(1)/(1)*z^2"
     assert at[3, -1]["T7_4"] == "(1)/(1)*z^3"
     assert at[3, -1]["T7_2"] == (
-        "(-6)/(1)*y^3 + (24)/(1)*z^1*y^2 + (-33)/(1)*z^2*y^1"
-        " + (16)/(1)*z^3 + (6)/(1)*rho^1*y^2 + (-33)/(1)*rho^1*z^1*y^1"
-        " + (33)/(1)*rho^1*z^2 + (-1)/(1)*rho^2*y^1"
-        " + (13)/(1)*rho^2*z^1")
+        "(1)/(1)*z^3 + (6)/(1)*rho^1*z^1*y^1 + (12)/(1)*rho^2*y^1")
 
 
 def test_every_t_difference_is_built_in_integers(monkeypatch):
@@ -196,7 +194,7 @@ def test_every_t_difference_is_built_in_integers(monkeypatch):
     for body, ns in ((identities._inverse_t, range(11)),
                      (identities._reciprocity_t, range(1, 11)),
                      (identities._mixed_t, range(9)),
-                     (identities._inverse_lhs_y, range(11))):
+                     (identities._inverse_lhs, range(11))):
         out = [c for n in ns for row in identities._memoized(body, n)
                for p in row for c in p.terms.values()]
         assert out, body.__name__
@@ -204,20 +202,21 @@ def test_every_t_difference_is_built_in_integers(monkeypatch):
     assert {type(c) for c in scalars} == {int}
 
 
-def test_each_t7_inner_sum_is_built_once(monkeypatch):
+def test_t5_and_t7_share_one_inverse_left_side_per_n(monkeypatch):
+    # the T7 inner sums are the T5 left sides with z renamed y, so a sweep
+    # over both builds each left side once; T5 stops at n = 6 here, so the
+    # builds at 7 and 8 come from T7 alone
     identities._t_differences.cache_clear()
-    for n in range(8):
-        identities._mixed_t(n)
     calls = []
     true_lhs = identities._inverse_lhs
 
-    def counted(n, slot):
-        calls.append((n, slot))
-        return true_lhs(n, slot)
+    def counted(n):
+        calls.append(n)
+        return true_lhs(n)
 
     monkeypatch.setattr(identities, "_inverse_lhs", counted)
-    identities._mixed_t(8)
-    assert calls == [(8, "y")]
+    run_identity_sweep(nmax=6, nmax_mixed=8, k_values=(-1, 2))
+    assert calls == list(range(9))
 
 
 def test_verdict_judges_the_t_difference_at_k():

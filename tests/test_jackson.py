@@ -113,6 +113,9 @@ def test_oracle_weights_past_the_float_range_raise_overflow():
     # overflows and rho^10 underflows, and their product would read NaN
     with pytest.raises(OverflowError):
         oracle_family("polyCauchy1", 10, 1, 1e-40, 0.3, OracleConfig(q=0.5))
+    # and a sum whose terms overflow to both infinities, which fsum refuses
+    with pytest.raises(OverflowError, match="rho = 1e-35"):
+        oracle_family("polyCauchy2", 9, 2, 1e-35, 0.3, OracleConfig(q=0.5))
 
 
 @pytest.mark.parametrize("rho, z", [(math.nan, 0.0), (1.0, math.inf),

@@ -142,13 +142,13 @@ def test_inverse_pair_round_trip_symbolic_weight():
     for n in range(nmax + 1):
         acc = ParamPoly.zero()
         for m in range(n + 1):
-            s2 = weighted_stirling2(n, m).as_param_poly("z")
+            s2 = weighted_stirling2(n, m).as_param_poly()
             acc = acc + s2.scale(F((-1) ** (n - m)) * g[m])
         f.append(acc)
     for n in range(nmax + 1):
         acc = ParamPoly.zero()
         for m in range(n + 1):
-            s1 = weighted_stirling1(n, m).as_param_poly("z")
+            s1 = weighted_stirling1(n, m).as_param_poly()
             acc = acc + s1 * f[m]
         assert acc == ParamPoly.const(g[n])
 
@@ -156,21 +156,14 @@ def test_inverse_pair_round_trip_symbolic_weight():
 # --- weight substitution ----------------------------------------------------
 
 def test_substitute_weight_spreads_rho_powers():
-    got = substitute_weight(weighted_stirling2(2, 1), 1, "z")
+    got = substitute_weight(weighted_stirling2(2, 1), 1)
     want = ParamPoly.monomial(1, rho=1) + ParamPoly.monomial(2, z=1)
     assert got == want
-    flipped = substitute_weight(weighted_stirling2(2, 1), -1, "z")
+    flipped = substitute_weight(weighted_stirling2(2, 1), -1)
     want = ParamPoly.monomial(1, rho=1) + ParamPoly.monomial(-2, z=1)
     assert flipped == want
 
 
-def test_substitute_weight_other_slot():
-    got = substitute_weight(weighted_stirling1(2, 0), 1, "y")
-    # x + x^2 with gap 2: rho^1 y^1 + y^2
-    want = ParamPoly.monomial(1, rho=1, y=1) + ParamPoly.monomial(1, y=2)
-    assert got == want
-
-
 def test_substitute_weight_constant_row():
-    got = substitute_weight(weighted_stirling1(3, 3), 1, "z")
+    got = substitute_weight(weighted_stirling1(3, 3), 1)
     assert got == ParamPoly.const(1)
