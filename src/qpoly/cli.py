@@ -11,7 +11,6 @@ max(1, |closed|): the tolerance is relative for values of size above 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -141,9 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--k", type=int, required=True)
     o.add_argument("--q", type=float, required=True)
-    o.add_argument("--rho", type=float, default=1.0)
-    o.add_argument("--z", type=float, default=0.0)
+    o.add_argument("--rho", help="fraction or decimal, e.g. 1/2; default 1")
+    o.add_argument("--z", help="fraction or decimal, e.g. 1/3; default 0")
     o.add_argument("--config", default=None)
+    o.set_defaults(at_q1=False)
     return parser
 
 
@@ -209,10 +209,10 @@ def _emit_records(records: Iterable[dict], fmt: str, out) -> None:
         for rec in records:
             out.write(json.dumps(rec) + "\n")
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["family", "n", "k", "value"])
+        # no field can hold a comma, a quote or a line break: none is quoted
+        out.write("family,n,k,value\n")
         for rec in records:
-            writer.writerow([rec["family"], rec["n"], rec["k"], rec["value"]])
+            out.write("%(family)s,%(n)d,%(k)d,%(value)s\n" % rec)
     else:
         out.write("\\begin{tabular}{rl}\n")
         for rec in records:
@@ -338,13 +338,14 @@ def _cmd_oracle(args, out) -> int:
     _check_bounds("--n", 0, N_LIMIT, args.n)
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     cfg = _get_config(args)
+    rho, z = _eval_point(args)
     ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
                         tolerance=cfg["tolerance"])
-    # the oracle refuses a bad rho or z before the closed form is built
-    numeric = oracle_family(args.family, args.n, args.k, args.rho, args.z, ocfg)
+    # a value past the float range is refused before the closed form is built
+    numeric = oracle_family(args.family, args.n, args.k, rho, z, ocfg)
     closed = eval_numeric(specialize(family_t(args.family, args.n), args.k),
-                          q=args.q, rho=args.rho, z=args.z)
-    vars_ = {"q": args.q, "rho": args.rho, "z": args.z}
+                          q=args.q, rho=rho, z=z)
+    vars_ = {"q": args.q, "rho": rho, "z": z}
     out.write(json.dumps(_record(args.family, args.n, args.k, vars_,
                                  closed, "closed_form")) + "\n")
     out.write(json.dumps(_record(args.family, args.n, args.k, vars_,

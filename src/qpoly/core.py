@@ -624,7 +624,8 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
     """Float evaluation of a QRat or ParamPoly at 0 < q < 1.
 
     Variables actually present in the value must be supplied. Any real
-    rho is allowed, zero included: the value is a polynomial in rho.
+    rho is allowed, zero included: the value is a polynomial in rho. A
+    value that leaves the float range raises OverflowError.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -638,16 +639,22 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
             raise ValueError("value depends on %s; supply it" % name)
     total = 0.0
     dens = {}   # terms share denominators: evaluate each one once
-    for e, c in value.sorted_terms():
-        d = dens.get(c.den.coeffs)
-        if d is None:
-            d = dens[c.den.coeffs] = _denominator_at(c.den, q)
-        term = c.num.evaluate(q) / d
-        if e[0]:
-            term *= rho ** e[0]
-        if e[1]:
-            term *= z ** e[1]
-        if e[2]:
-            term *= y ** e[2]
-        total += term
+    try:
+        for e, c in value.sorted_terms():
+            d = dens.get(c.den.coeffs)
+            if d is None:
+                d = dens[c.den.coeffs] = _denominator_at(c.den, q)
+            term = c.num.evaluate(q) / d
+            if e[0]:
+                term *= rho ** e[0]
+            if e[1]:
+                term *= z ** e[1]
+            if e[2]:
+                term *= y ** e[2]
+            total += term
+    except OverflowError:   # a float power past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError("the value at q = %r, rho = %r, z = %r leaves "
+                            "the float range" % (q, rho, z))
     return total

@@ -77,9 +77,10 @@ def jackson_integral_1d(f: Callable[[float], float],
 
 def oracle_family(family: str, n: int, k: int, rho: float, z: float,
                   cfg: OracleConfig) -> float:
-    """Defining k-fold q-integral of one Cauchy-type value, for any k >= 1:
-    rho^n times the Jackson integral of the falling factorial of
-    (x_1...x_k - z)/rho (first kind) or (z - x_1...x_k)/rho (second).
+    """Defining k-fold q-integral of one Cauchy-type value, for any k >= 1
+    and any real rho: the Jackson integral of prod_{i<n}(sigma*(x_1...x_k
+    - z) - i*rho), sigma = 1 (first kind) or -1 (second), which is rho^n
+    times the falling factorial of sigma*(x_1...x_k - z)/rho multiplied out.
     This path exists to check the symbolic ones, not to replace them.
     """
     if family not in ("polyCauchy1", "polyCauchy2"):
@@ -90,17 +91,15 @@ def oracle_family(family: str, n: int, k: int, rho: float, z: float,
         raise ValueError("n must be nonnegative")
     if not (math.isfinite(rho) and math.isfinite(z)):
         raise ValueError("rho and z must be finite")
-    if rho == 0.0:
-        raise ValueError("rho must be nonzero")
-    den, scale = (rho if family == "polyCauchy1" else -rho), rho ** n
-    def falling(u: float) -> float:
-        a = (u - z) / den
-        return math.prod([a - i for i in range(n)])
-    value, tail = _jackson_sum(falling, k, cfg)
-    value, tail = scale * value, tail * abs(scale)
-    # an overflowing integrand times an underflowing rho^n reads NaN, as do
-    # integrand values that overflow to both infinities; an infinite tail
-    # with a finite value only means the sum cannot converge
+    sigma = 1.0 if family == "polyCauchy1" else -1.0
+    steps = [i * rho for i in range(n)]
+    def integrand(u: float) -> float:
+        a = sigma * (u - z)
+        return math.prod([a - c for c in steps])
+    value, tail = _jackson_sum(integrand, k, cfg)
+    # integrand values overflowing to both infinities read NaN, as does a
+    # tail whose overflowing integrand meets an underflowing weight; an
+    # infinite tail with a finite value only means the sum cannot converge
     if not math.isfinite(value) or math.isnan(tail):
         raise OverflowError("the oracle's value at rho = %r leaves the float "
                             "range" % rho)

@@ -349,6 +349,25 @@ def test_values_never_enter_the_q_kernel(monkeypatch, capsys, mode):
     _assert_pinned_values(capsys, mode)
 
 
+@pytest.mark.parametrize("table", [
+    ["table", "polyBernoulli", "--nmax", "6", "--k", "-2"],
+    ["table", "polyCauchy2", "--nmax", "6", "--k", "2", "--at-q1",
+     "--z=-1/3"],
+    ["table", "polyCauchy1", "--nmax", "6", "--k", "3", "--q", "0.3",
+     "--rho", "2", "--z", "1/3"],
+])
+def test_csv_rows_are_what_csv_writer_writes(capsys, table):
+    # the direct write quotes nothing, so every field must need no quoting
+    code, rows = run_cli(capsys, *table, "--format", "json")
+    assert code == 0
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["family", "n", "k", "value"])
+    for rec in map(json.loads, rows.splitlines()):
+        writer.writerow([rec["family"], rec["n"], rec["k"], rec["value"]])
+    assert run_cli(capsys, *table, "--format", "csv") == (0, want.getvalue())
+
+
 def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
     # z^n/n! on the t_0 component of each t^n coefficient adds z^n to the
     # n-th family value of the series at every k, since t_0 = 1
@@ -534,12 +553,10 @@ TABLE_ARGS = ["table", "polyBernoulli", "--nmax", "3", "--k", "1"]
     TABLE_ARGS + ["--z", "1/3", "--format", "latex"],
     TABLE_ARGS + ["--q", "1.5"],
     TABLE_ARGS + ["--at-q1", "--rho", "1/0", "--format", "latex"],
-    # values the oracle cannot hold as floats: rho^n overflows, or it
-    # underflows while the falling factorial overflows (no NaN is printed)
+    # a value the oracle cannot hold as a float: its integrand overflows
+    # to both infinities (no NaN is printed)
     ["oracle", "--family", "polyCauchy1", "--n", "10", "--k", "1",
      "--q", "0.5", "--rho", "1e200", "--z", "0.3"],
-    ["oracle", "--family", "polyCauchy1", "--n", "10", "--k", "1",
-     "--q", "0.5", "--rho", "1e-40", "--z", "0.3"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -645,28 +662,55 @@ def test_a_bad_oracle_config_is_refused_before_any_build(
     assert capsys.readouterr().err == "error: truncation must be positive\n"
 
 
-def test_oracle_refuses_a_zero_rho_before_building_the_value(
+def test_oracle_refuses_a_nan_rho_before_building_the_value(
         monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the value was built")
 
-    for name in ("family_t", "specialize", "eval_numeric"):
+    for name in ("family_t", "specialize", "eval_numeric", "oracle_family"):
         monkeypatch.setattr(cli, name, refuse)
     assert main(["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
-                 "--q", "0.5", "--rho", "0"]) == 2
+                 "--q", "0.5", "--rho", "nan"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: rho must be nonzero\n"
+    assert captured.err.startswith("error:")
     assert captured.out == ""
 
 
+def test_oracle_reads_rho_and_z_as_value_does(capsys):
+    # --rho/--z are exact fractions or decimals, rounded to floats
+    argv = ["oracle", "--family", "polyCauchy2", "--n", "6", "--k", "2",
+            "--q", "0.5"]
+    code, out = run_cli(capsys, *argv, "--rho", "1/2", "--z", "1/3")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv, "--rho", "0.5",
+                                  "--z", "0.3333333333333333")
+    # a zero rho is a point like any other: the integrand has no division
+    code, out = run_cli(capsys, *argv, "--rho", "0", "--z", "0.3")
+    assert code == 0
+    assert json.loads(out.splitlines()[2])["status"] == "verified"
+
+
 def test_oracle_terms_of_both_infinities_name_the_float_range(capsys):
-    # at rho = 1e-35 the integrand overflows to +inf at some nodes and to
+    # at rho = 1e200 the integrand overflows to +inf at some nodes and to
     # -inf at others; the sum is refused as out of range, not by fsum
-    assert main(["oracle", "--family", "polyCauchy2", "--n", "9", "--k", "2",
-                 "--q", "0.5", "--rho", "1e-35", "--z", "0.3"]) == 2
+    assert main(["oracle", "--family", "polyCauchy1", "--n", "10", "--k", "1",
+                 "--q", "0.5", "--rho", "1e200", "--z", "0.3"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: the oracle's value at rho = 1e-35 leaves "
+    assert captured.err == ("error: the oracle's value at rho = 1e+200 leaves "
                             "the float range\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rho, z", [("1e62", "1e61"), ("1e300", "1e300")])
+def test_numeric_values_past_the_float_range_name_the_point(capsys, rho, z):
+    # a sum that reaches -inf and a power that overflows both leave the
+    # float range; neither prints Infinity, which is not JSON
+    assert main(["value", "--family", "polyCauchy1", "--n", "5", "--k", "3",
+                 "--q", "0.5", "--rho", rho, "--z", z]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the value at q = 0.5, rho = %r, z = %r "
+                            "leaves the float range\n"
+                            % (float(rho), float(z)))
     assert captured.out == ""
 
 

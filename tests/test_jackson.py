@@ -54,14 +54,15 @@ def test_quadrature_matches_plain_python_reference():
 
 
 def test_closed_forms_match_oracle_grid():
-    # the criterion-5 grid, at every depth the nested sums cannot reach too
+    # the criterion-5 grid, at every depth the nested sums cannot reach too,
+    # and at a zero and a tiny rho
     for family in ("polyCauchy1", "polyCauchy2"):
         for n in range(6):
             for k in (1, 2, 3, 4):
                 closed = family_value(family, n, k)
                 for q in (0.3, 0.7):
                     cfg = OracleConfig(q=q)
-                    for rho in (1.0, 2.0, -0.5):
+                    for rho in (1.0, 2.0, -0.5, 0.0, 1e-35):
                         for z in (0.0, 1.0 / 3.0):
                             got = oracle_family(family, n, k, rho, z, cfg)
                             want = eval_numeric(closed, q=q, rho=rho, z=z)
@@ -101,21 +102,27 @@ def test_oracle_rejects_unsupported_depth():
         oracle_family("polyCauchy1", 2, 0, 1.0, 0.0, cfg)
     with pytest.raises(ValueError):
         oracle_family("polyBernoulli", 2, 1, 1.0, 0.0, cfg)
-    with pytest.raises(ValueError):
-        oracle_family("polyCauchy1", 2, 1, 0.0, 0.0, cfg)
 
 
 def test_oracle_weights_past_the_float_range_raise_overflow():
     # the CLI refuses such a depth first (cli.K_LIMIT); the library raises
     with pytest.raises(OverflowError):
         oracle_family("polyCauchy1", 2, 400, 1.0, 0.0, OracleConfig(q=0.3))
-    # so does a value past it: at rho = 1e-40 the falling factorial
-    # overflows and rho^10 underflows, and their product would read NaN
-    with pytest.raises(OverflowError):
-        oracle_family("polyCauchy1", 10, 1, 1e-40, 0.3, OracleConfig(q=0.5))
-    # and a sum whose terms overflow to both infinities, which fsum refuses
-    with pytest.raises(OverflowError, match="rho = 1e-35"):
-        oracle_family("polyCauchy2", 9, 2, 1e-35, 0.3, OracleConfig(q=0.5))
+    # so does a sum whose terms overflow to both infinities, which fsum
+    # refuses: at rho = 1e200 and z = 0.3, 198 nodes give +inf and 2 -inf
+    with pytest.raises(OverflowError, match="rho = 1e\\+200"):
+        oracle_family("polyCauchy1", 10, 1, 1e200, 0.3, OracleConfig(q=0.5))
+    # and a finite value whose tail bound reads inf * 0: the integrand
+    # overflows in the bound's product while q^s0 underflows
+    with pytest.raises(OverflowError, match="rho = 3e\\+33"):
+        oracle_family("polyCauchy1", 10, 2, 3e33, 0.3, OracleConfig(q=0.02))
+    # a tiny rho stays in range and agrees with the closed form
+    for family, n, k, rho in (("polyCauchy1", 10, 1, 1e-40),
+                              ("polyCauchy2", 9, 2, 1e-35)):
+        got = oracle_family(family, n, k, rho, 0.3, OracleConfig(q=0.5))
+        want = eval_numeric(family_value(family, n, k), q=0.5, rho=rho,
+                            z=0.3)
+        assert abs(got - want) < TOL, (family, rho)
 
 
 @pytest.mark.parametrize("rho, z", [(math.nan, 0.0), (1.0, math.inf),
