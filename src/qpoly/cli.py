@@ -153,28 +153,34 @@ def _get_config(args) -> dict:
     return dict(DEFAULT_CONFIG)
 
 
-def _exact_arg(text: str | None) -> Fraction | None:
-    """Parse an optional --rho/--z value as an exact fraction."""
+def _point_arg(flag: str, text: str | None,
+               numeric: bool) -> Fraction | float | None:
+    """An optional --rho/--z value as an exact fraction, or when numeric
+    as its float, correctly rounded as float(text) is."""
     if text is None:
         return None
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        return float(value) if numeric else value
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
+    except OverflowError:
+        raise ValueError("%s %s is past the float range"
+                         % (flag, text)) from None
 
 
 def _eval_point(args) -> tuple:
     """Check the evaluation flags and return (rho, z): exact, or rounded to
     floats under --q. Every flag error is raised here, before any output."""
-    if args.at_q1 and args.q is not None:
+    numeric = args.q is not None
+    if args.at_q1 and numeric:
         raise ValueError("--at-q1 and --q are mutually exclusive")
-    rho, z = _exact_arg(args.rho), _exact_arg(args.z)
-    if args.q is not None:
+    rho = _point_arg("--rho", args.rho, numeric)
+    z = _point_arg("--z", args.z, numeric)
+    if numeric:
         if not 0.0 < args.q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
-        # Fraction -> float is correctly rounded, as float(text) is
-        return (float(rho) if rho is not None else 1.0,
-                float(z) if z is not None else 0.0)
+        return 1.0 if rho is None else rho, 0.0 if z is None else z
     if not args.at_q1 and (rho is not None or z is not None):
         raise ValueError("--rho/--z need --at-q1 or --q")
     return rho, z
@@ -233,19 +239,19 @@ def _cmd_values(args, out) -> int:
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     rho, z = _eval_point(args)
 
-    def records():
-        for n in ns:
-            value = specialize(family_t(args.family, n), args.k)
-            vars_, printable, exact = _evaluate(value, args, rho, z)
-            rec = _record(args.family, n, args.k, vars_, printable,
-                          "closed_form")
-            if args.format == "latex":
-                # a --q row is a float, printed as its repr
-                rec["latex"] = (str(printable) if exact is None
-                                else latex_param_poly(exact))
-            yield rec
+    def record(n: int) -> dict:
+        value = specialize(family_t(args.family, n), args.k)
+        vars_, printable, exact = _evaluate(value, args, rho, z)
+        rec = _record(args.family, n, args.k, vars_, printable, "closed_form")
+        if args.format == "latex":
+            # a --q row is a float, printed as its repr
+            rec["latex"] = (str(printable) if exact is None
+                            else latex_param_poly(exact))
+        return rec
 
-    _emit_records(records(), args.format, out)
+    # --q rows are floats: build all first, so a failing one prints nothing
+    rows = map(record, ns)
+    _emit_records(rows if args.q is None else list(rows), args.format, out)
     return 0
 
 

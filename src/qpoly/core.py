@@ -3,8 +3,8 @@ polynomials in (rho, z, y).
 
 q is a formal indeterminate throughout this module. It is only ever bound
 to a number inside eval_numeric (floats in (0, 1)) and QRat.eval_at_q1
-(exact substitution q = 1). Every value is immutable after construction, so
-instances may be shared freely, including between threads.
+(q = 1 exactly, as coefficient sums). Every value is immutable after
+construction, so instances may be shared freely, including between threads.
 
 A QPoly coefficient is an int when it is integral and a Fraction with
 denominator > 1 otherwise; no float is ever stored. Every family value has
@@ -85,25 +85,20 @@ def _power(base, e: int, one):
 
 
 # ---------------------------------------------------------------------------
-# integer primitive-PRS gcd, used by QPoly.gcd
+# integer primitive-PRS gcd, used by QPoly.gcd. A zero, constant or shorter
+# operand needs no case of its own: one remainder step ends or swaps it.
 
 
-def _int_primitive(coeffs: Sequence[Fraction]) -> list[int]:
+def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
     """Clear denominators and divide out the integer content."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c.numerator * (den // c.denominator)) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers, content removed."""
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b over the integers, made primitive."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -115,12 +110,7 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
             r[shift + i] -= lr * b[i]
         while r and r[-1] == 0:
             r.pop()
-    g = 0
-    for v in r:
-        g = math.gcd(g, v)
-    if g > 1:
-        r = [v // g for v in r]
-    return r
+    return _primitive(r)
 
 
 class QPoly:
@@ -243,10 +233,8 @@ class QPoly:
         return QPoly(quot)
 
     def monic(self) -> "QPoly":
-        lc = self.leading
-        if not lc or lc == 1:
-            return self
-        return self * _div(1, lc)
+        # a product with the scalar 1 is self
+        return self * _div(1, self.leading) if self.coeffs else self
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction and float arguments."""
@@ -257,20 +245,11 @@ class QPoly:
 
     @staticmethod
     def gcd(a: "QPoly", b: "QPoly") -> "QPoly":
-        """Monic greatest common divisor over the rationals."""
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        if a.degree == 0 or b.degree == 0:
-            return _QP_ONE
-        pa = _int_primitive(a.coeffs)
-        pb = _int_primitive(b.coeffs)
-        if len(pa) < len(pb):
-            pa, pb = pb, pa
-        while pb:
-            pa, pb = pb, _int_prem(pa, pb)
-        return QPoly(pa).monic()
+        """Monic greatest common divisor over the rationals; 0 for two 0s."""
+        a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+        while b:
+            a, b = b, _prem(a, b)
+        return QPoly(a).monic()
 
 
 _QP_ZERO = QPoly()
@@ -324,10 +303,6 @@ class QRat:
         r.num = num
         r.den = den
         return r
-
-    @classmethod
-    def one(cls) -> "QRat":
-        return _QR_ONE
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -389,7 +364,11 @@ class QRat:
         return self.num.evaluate(q) / d
 
     def eval_at_q1(self) -> Fraction:
-        return self.evaluate(Fraction(1))
+        """Exact value at q = 1, each polynomial read as its coefficient sum."""
+        d = sum(self.den.coeffs)
+        if d == 0:
+            raise DenominatorVanishes("denominator vanishes at q=1")
+        return Fraction(sum(self.num.coeffs)) / d
 
 
 def _denominator_at(den: QPoly, q):

@@ -168,9 +168,9 @@ def latex_param_poly(p: ParamPoly) -> str:
         coeff_part = latex_qrat(c)
         if not vars_part:
             parts.append(coeff_part)
-        elif c == QRat.one():
+        elif c == 1:
             parts.append(vars_part)
-        elif c == -QRat.one():
+        elif c == -1:
             parts.append("-" + vars_part)
         else:
             # a \frac is one group already; a sum of q-powers is not

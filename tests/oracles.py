@@ -287,6 +287,32 @@ def cauchy_integral_reference(family, n, k, rho, z, q, terms):
 
 
 # --------------------------------------------------------------------------
+# polynomials over Fraction (index = power of q), for the kernel's gcd
+
+
+def p_trim(a):
+    """Fraction copy of a without trailing zeros; [] is the zero polynomial."""
+    out = [F(c) for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def p_gcd(a, b):
+    """Monic gcd of two polynomials by Euclid's algorithm over Fraction,
+    each remainder by plain long division; [] when both are zero."""
+    a, b = p_trim(a), p_trim(b)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            t, shift = r[-1] / b[-1], len(r) - len(b)
+            r = p_trim([c - t * b[i - shift] if i >= shift else c
+                        for i, c in enumerate(r)])
+        a, b = b, r
+    return [c / a[-1] for c in a] if a else []
+
+
+# --------------------------------------------------------------------------
 # the families at an exact q, for any integer depth k
 
 

@@ -701,16 +701,47 @@ def test_oracle_terms_of_both_infinities_name_the_float_range(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("rho, z", [("1e62", "1e61"), ("1e300", "1e300")])
-def test_numeric_values_past_the_float_range_name_the_point(capsys, rho, z):
+def _at_point(rho, z):
+    return ["--k", "3", "--q", "0.5", "--rho", rho, "--z", z]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["value", "--family", "polyCauchy1", "--n", "5"]
+                 + _at_point("1e62", "1e61"), id="1e62-1e61"),
+    pytest.param(["value", "--family", "polyCauchy1", "--n", "5"]
+                 + _at_point("1e300", "1e300"), id="1e300-1e300"),
+    # rows n = 0..3 are finite and n = 4 is not: a csv table or value
+    # writes neither its header nor a row before the row that fails
+    pytest.param(["table", "polyCauchy1", "--nmax", "6"]
+                 + _at_point("1e100", "1e100"), id="table-csv"),
+    pytest.param(["value", "--family", "polyCauchy1", "--n", "6", "--format",
+                  "csv"] + _at_point("1e100", "1e100"), id="value-csv"),
+])
+def test_numeric_values_past_the_float_range_name_the_point(capsys, argv):
     # a sum that reaches -inf and a power that overflows both leave the
     # float range; neither prints Infinity, which is not JSON
-    assert main(["value", "--family", "polyCauchy1", "--n", "5", "--k", "3",
-                 "--q", "0.5", "--rho", rho, "--z", z]) == 2
+    rho, z = argv[argv.index("--rho") + 1], argv[argv.index("--z") + 1]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == ("error: the value at q = 0.5, rho = %r, z = %r "
                             "leaves the float range\n"
                             % (float(rho), float(z)))
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--family", "polyCauchy2", "--n", "6", "--k", "2", "--q", "0.5",
+      "--rho", "1e400"], "--rho 1e400"),
+    (["value", "--family", "polyCauchy2", "--n", "6", "--k", "2", "--q", "0.5",
+      "--z", "1e400"], "--z 1e400"),
+    (["table", "polyCauchy1", "--nmax", "2", "--k", "1", "--q", "0.5",
+      "--rho=-1e400"], "--rho -1e400"),
+], ids=["oracle-rho", "value-z", "table-negative-rho"])
+def test_a_point_past_the_float_range_names_its_flag(capsys, argv, flag):
+    # the exact --rho/--z is read, then rounded to a float under --q
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s is past the float range\n" % flag
     assert captured.out == ""
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles as O
 import qpoly
 from qpoly import (
     DenominatorVanishes,
@@ -90,6 +91,22 @@ def test_eval_at_q1_simple_and_singular():
     assert q_number_power_inverse(2, 2).eval_at_q1() == F(1, 9)
     with pytest.raises(DenominatorVanishes):
         QRat(1, QPoly([1, -1])).eval_at_q1()  # 1/(1-q)
+
+
+@given(r=qrats)
+@settings(max_examples=200)
+@example(r=QRat(1, QPoly([1, -1])))
+@example(r=QRat(QPoly([2, 1]), QPoly([-2, 1, 1])))
+def test_eval_at_q1_is_the_value_at_one(r):
+    # coefficient sums give what Horner's rule gives at Fraction(1)
+    if r.den.evaluate(F(1)):
+        assert r.eval_at_q1() == r.evaluate(F(1))
+        assert type(r.eval_at_q1()) is F
+        return
+    with pytest.raises(DenominatorVanishes):
+        r.eval_at_q1()
+    with pytest.raises(DenominatorVanishes):
+        r.evaluate(F(1))
 
 
 @given(num=int_polys, den=nonzero_polys, h=nonzero_polys)
@@ -203,6 +220,41 @@ def test_kernel_stores_no_float(a, b, s):
         values += [inv.num, inv.den]
     assert prod.divexact(b) == a
     assert all(_stored_exactly(p) for p in values)
+
+
+# --- gcd against Euclid's algorithm over Fraction -----------------------------
+
+Q3, Q4, Q5, Q7 = (q_number(m) for m in (3, 4, 5, 7))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (QPoly(), QPoly(), QPoly()),
+    (QPoly(), QPoly([2, 4]), QPoly([F(1, 2), 1])),
+    (QPoly([F(-3, 2)]), Q3, ONE_POLY),
+    (Q4, QPoly([5]), ONE_POLY),
+    (QPoly([1, 1]), Q4 * Q3, QPoly([1, 1])),
+    (Q3 ** 4 * Q5 ** 3 * Q7 ** 2, Q5 ** 2 * Q7 ** 3 * Q4 ** 3,
+     Q5 ** 2 * Q7 ** 2),
+], ids=["zeros", "zero-and-b", "constant-a", "constant-b", "shorter-a",
+        "degree-20"])
+def test_gcd_needs_no_special_case(a, b, want):
+    # a zero, a constant and a shorter first operand take the one loop
+    g = QPoly.gcd(a, b)
+    assert g == want and _stored_exactly(g)
+    assert g.coeffs == tuple(O.p_gcd(a.coeffs, b.coeffs))
+
+
+@given(a=st.one_of(int_polys, fraction_polys),
+       b=st.one_of(int_polys, fraction_polys),
+       h=st.one_of(nonzero_polys, nonzero_fraction_polys))
+@settings(max_examples=200)
+@example(a=QPoly(), b=QPoly(), h=QPoly([F(2, 3), 1]))
+@example(a=QPoly([F(1, 2)]), b=QPoly([1, -1]), h=ONE_POLY)
+@example(a=Q3 ** 4 * Q5 ** 3 * Q7 ** 2, b=Q5 ** 2 * Q7 ** 3 * Q4 ** 3,
+         h=ONE_POLY)
+def test_gcd_matches_euclid_over_fractions(a, b, h):
+    a, b = a * h, b * h
+    assert QPoly.gcd(a, b).coeffs == tuple(O.p_gcd(a.coeffs, b.coeffs))
 
 
 mixed_scalars = st.one_of(
