@@ -3,7 +3,8 @@
 Subcommands: table (reference rows), value (one record), verify (symbolic
 and numeric sweeps, JSON lines), oracle (one numeric comparison). Output
 is deterministic byte for byte for a fixed invocation. Exit codes: 0 on
-success, 1 when a verification or comparison fails, 2 on usage errors.
+success, 1 when a verification or comparison fails, 2 on usage errors,
+each naming its flag, or its config file's path:line and key.
 An oracle comparison passes when |closed - oracle| < tolerance *
 max(1, |closed|): the tolerance is relative for values of size above 1.
 """
@@ -43,6 +44,10 @@ N_LIMIT = 50
 # q-degree of [m+1]_q^k grows with n*|k|. At n = 50, k = -10 one value takes
 # about 0.4 s and 17 MB of text, and table --nmax 50 prints 177 MB.
 K_LIMIT = 10
+# The largest oracle_truncation T accepted: the oracle sums k(T-1)+1 nodes.
+# At T = 10,000 an n = 50, k = 10 comparison takes 0.5 s, verify --scope
+# oracle 6 s.
+TRUNCATION_LIMIT = 10_000
 
 
 def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
@@ -53,21 +58,21 @@ def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        v = int(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-        if lo > hi:
-            raise ValueError("empty k range %r" % text)
-        return (lo, hi)
-    raise ValueError("k range must be 'v' or 'lo,hi', got %r" % text)
+    """'v' or 'lo,hi' as the inclusive range (lo, hi)."""
+    try:
+        lo, hi = map(int, text.split(",") if "," in text else (text, text))
+    except ValueError:   # not an integer, or more than two parts
+        raise ValueError("expected 'v' or 'lo,hi' in integers, got %r"
+                         % text) from None
+    if lo > hi:
+        raise ValueError("empty range %r" % text)
+    return lo, hi
 
 
 def load_config(path: str) -> dict:
     """Read key = value lines; '#' starts a comment. Unknown keys are
-    rejected so typos do not silently fall back to defaults."""
+    rejected so typos do not silently fall back to defaults, and a bad
+    line or value is named by its path:line (and key)."""
     cfg = dict(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -81,12 +86,16 @@ def load_config(path: str) -> dict:
             value = value.strip()
             if key not in cfg:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            if key == "k_range":
-                cfg[key] = _parse_k_range(value)
-            elif key == "tolerance":
-                cfg[key] = float(value)
-            else:
-                cfg[key] = int(value)
+            try:
+                if key == "k_range":
+                    cfg[key] = _parse_k_range(value)
+                elif key == "tolerance":
+                    cfg[key] = float(value)
+                else:
+                    cfg[key] = int(value)
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s: %s"
+                                 % (path, lineno, key, exc)) from None
     return cfg
 
 
@@ -148,9 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_config(args) -> dict:
-    if args.config:
-        return load_config(args.config)
-    return dict(DEFAULT_CONFIG)
+    cfg = load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
+    if cfg["oracle_truncation"] > TRUNCATION_LIMIT:
+        raise ValueError("oracle_truncation must be at most %d, got %d"
+                         % (TRUNCATION_LIMIT, cfg["oracle_truncation"]))
+    return cfg
 
 
 def _point_arg(flag: str, text: str | None,
@@ -163,9 +174,13 @@ def _point_arg(flag: str, text: str | None,
         value = Fraction(text)
         return float(value) if numeric else value
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
+        raise ValueError("%s %s has a zero denominator"
+                         % (flag, text)) from None
     except OverflowError:
         raise ValueError("%s %s is past the float range"
+                         % (flag, text)) from None
+    except ValueError:
+        raise ValueError("%s %s is not a fraction or decimal"
                          % (flag, text)) from None
 
 
@@ -255,20 +270,6 @@ def _cmd_values(args, out) -> int:
     return 0
 
 
-def _verify_gf(nmax: int, k_range: tuple[int, int]) -> list[dict]:
-    # a passing gf record has no witness key
-    return [{key: v for key, v in report_record(r).items() if v is not None}
-            for r in run_gf_sweep(nmax, range(k_range[0], k_range[1] + 1))]
-
-
-def _verify_identities(nmax: int, nmax_mixed: int,
-                       k_range: tuple[int, int]) -> list[dict]:
-    reports = run_identity_sweep(
-        nmax=nmax, nmax_mixed=min(nmax_mixed, nmax),
-        k_values=range(k_range[0], k_range[1] + 1))
-    return [report_record(r) for r in reports]
-
-
 def _oracle_verdict(closed: float, numeric: float,
                     tolerance: float) -> tuple[float, bool]:
     """The absolute error, and whether it is below tolerance relative to
@@ -278,13 +279,14 @@ def _oracle_verdict(closed: float, numeric: float,
 
 
 def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
+    """Records in (identity, n, k, q, rho, z) order: every loop ascends."""
     records = []
     for family in ("polyCauchy1", "polyCauchy2"):
         for n in range(nmax + 1):
             for k in (1, 2):
                 value = specialize(family_t(family, n), k)
                 for cfg in configs:
-                    for rho in (1.0, 2.0, -0.5):
+                    for rho in (-0.5, 1.0, 2.0):
                         for z in (0.0, 1 / 3):
                             closed = eval_numeric(value, q=cfg.q, rho=rho,
                                                   z=z)
@@ -297,8 +299,6 @@ def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
                                 "z": z, "abs_err": err,
                                 "status": "verified" if ok else "failed",
                             })
-    records.sort(key=lambda r: (r["identity"], r["n"], r["k"],
-                                r["q"], r["rho"], r["z"]))
     return records
 
 
@@ -314,9 +314,13 @@ def _cmd_verify(args, out) -> int:
     else:
         nmax_gf = cfg["series_order"]
         nmax_ids = cfg["nmax_identities"]
-    k_range = _parse_k_range(args.k) if args.k is not None else cfg["k_range"]
-    _check_bounds("--k" if args.k is not None else "k_range",
-                  -K_LIMIT, K_LIMIT, *k_range)
+    try:
+        lo, hi = cfg["k_range"] if args.k is None else _parse_k_range(args.k)
+    except ValueError as exc:
+        raise ValueError("--k: %s" % exc) from None
+    _check_bounds("k_range" if args.k is None else "--k",
+                  -K_LIMIT, K_LIMIT, lo, hi)
+    ks = range(lo, hi + 1)
     # a bad --q or oracle setting is refused here, before any sweep
     qs = (args.q,) if args.q is not None else (0.3, 0.7)
     oracle_configs = [OracleConfig(q, cfg["oracle_truncation"],
@@ -324,9 +328,12 @@ def _cmd_verify(args, out) -> int:
 
     records: list[dict] = []
     if args.scope in ("gf", "all"):
-        records.extend(_verify_gf(nmax_gf, k_range))
+        # a passing gf record has no witness key
+        records.extend({key: v for key, v in report_record(r).items()
+                        if v is not None} for r in run_gf_sweep(nmax_gf, ks))
     if args.scope in ("identities", "all"):
-        records.extend(_verify_identities(nmax_ids, cfg["nmax_mixed"], k_range))
+        records.extend(map(report_record, run_identity_sweep(
+            nmax_ids, min(cfg["nmax_mixed"], nmax_ids), ks)))
     if args.scope in ("oracle", "all"):
         records.extend(_verify_oracle(cfg["nmax_oracle"], oracle_configs))
     failed = [r for r in records if r["status"] != "verified"]

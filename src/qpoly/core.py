@@ -196,8 +196,7 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _QP_ZERO
+        # an empty operand leaves out empty or all zeros, which trim to 0
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -379,7 +378,6 @@ def _denominator_at(den: QPoly, q):
 
 
 _QR_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)
-_QR_ONE = QRat._raw(_QP_ONE, _QP_ONE)
 
 
 def _coerce_qrat(value):
@@ -512,10 +510,6 @@ class ParamPoly:
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         return ParamPoly._collect(other.terms.items(), self.terms)
 
     __radd__ = __add__
@@ -591,9 +585,7 @@ def q_number_power_inverse(m: int, k: int) -> QRat:
     if m < 0:
         raise ValueError("index must be nonnegative")
     base = q_number(m + 1)
-    if k == 0:
-        return _QR_ONE
-    if k > 0:
+    if k >= 0:
         return QRat._raw(_QP_ONE, base ** k)
     return QRat._raw(base ** (-k), _QP_ONE)
 
@@ -604,10 +596,13 @@ def eval_numeric(value, *, q: float, rho: float | None = None,
 
     Variables actually present in the value must be supplied. Any real
     rho is allowed, zero included: the value is a polynomial in rho. A
-    value that leaves the float range raises OverflowError.
+    NaN or infinite rho, z or y is refused whether or not the value uses
+    it, and a value that leaves the float range raises OverflowError.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (rho, z, y)):
+        raise ValueError("rho, z and y must be finite")
     if isinstance(value, QRat):
         return value.evaluate(q)
     if not isinstance(value, ParamPoly):

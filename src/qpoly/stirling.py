@@ -152,8 +152,6 @@ def carlitz_expand(n: int, m: int) -> WeightedStirling:
     The sum stops at i = n - m since higher first-kind numbers vanish.
     """
     _check_indices(n, m)
-    if m > n:
-        return WeightedStirling(n, m, "first", ())
     coeffs = [comb(m + i, i) * stirling1(n, m + i) for i in range(n - m + 1)]
     return WeightedStirling(n, m, "first", _xpoly_trim(coeffs))
 

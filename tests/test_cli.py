@@ -455,6 +455,25 @@ def test_verify_oracle_scope(capsys):
     assert all(r["abs_err"] < 1e-9 for r in recs)
 
 
+ORACLE_KEY = ("identity", "n", "k", "q", "rho", "z")
+
+
+def test_verify_oracle_records_come_out_sorted(tmp_path, capsys):
+    # the loops emit (identity, n, k, q, rho, z) order; no sort is needed
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("nmax_oracle = 2\n")
+    code, out = run_cli(capsys, "verify", "--scope", "oracle",
+                        "--config", str(cfg))
+    assert code == 0
+    keys = [tuple(json.loads(line)[f] for f in ORACLE_KEY)
+            for line in out.splitlines()]
+    assert len(keys) == 2 * 3 * 2 * 2 * 3 * 2 and keys == sorted(keys)
+    code, out = run_cli(capsys, "verify", "--scope", "oracle", "--q", "0.7")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c0c83fa63a633ca945dc3f9d05e21fdc56b055318fd0e1e443742f24d76c3a00")
+
+
 def test_oracle_subcommand(capsys):
     code, out = run_cli(capsys, "oracle", "--family", "polyCauchy2",
                         "--n", "3", "--k", "2", "--q", "0.7",
@@ -743,6 +762,76 @@ def test_a_point_past_the_float_range_names_its_flag(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.err == "error: %s is past the float range\n" % flag
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["value", "--family", "polyCauchy2", "--n", "3", "--k", "2", "--q", "0.5",
+      "--rho", "nan"], "--rho nan"),
+    (["value", "--family", "polyCauchy2", "--n", "3", "--k", "2", "--q", "0.5",
+      "--z", "inf"], "--z inf"),
+    (["value", "--family", "polyCauchy2", "--n", "3", "--k", "2", "--at-q1",
+      "--rho", "abc"], "--rho abc"),
+    (["value", "--family", "polyCauchy2", "--n", "3", "--k", "2", "--at-q1",
+      "--z", "1/0"], "--z 1/0"),
+    (["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+      "--q", "0.5", "--rho", "nan"], "--rho nan"),
+    (["verify", "--scope", "gf", "--k", "x"], "--k"),
+    (["verify", "--scope", "gf", "--k", "1,2,3"], "--k"),
+    (["verify", "--scope", "gf", "--k", "3,1"], "--k"),
+], ids=["value-rho-nan", "value-z-inf", "at-q1-rho-abc", "at-q1-z-1/0",
+        "oracle-rho-nan", "verify-k-x", "verify-k-three-parts",
+        "verify-k-empty"])
+def test_a_bad_value_names_its_flag(monkeypatch, capsys, argv, where):
+    _refuse_builds(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s" % where)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", ["series_order = abc", "k_range = 1,x",
+                                  "k_range = 3,1", "tolerance = tiny",
+                                  "nmax_oracle = 2.5"])
+def test_a_bad_config_value_names_its_line_and_key(
+        monkeypatch, tmp_path, capsys, line):
+    _refuse_builds(monkeypatch)
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("# comment\n%s\n" % line)
+    key = line.split()[0]
+    for argv in (["verify", "--scope", "all"],
+                 ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+                  "--q", "0.5"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: %s:2: %s: " % (cfg, key))
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scope", "oracle"],
+    ["verify", "--scope", "gf"],
+    ["oracle", "--family", "polyCauchy1", "--n", "2", "--k", "3",
+     "--q", "0.5"],
+])
+def test_an_oracle_truncation_past_the_cap_is_refused_before_any_build(
+        monkeypatch, tmp_path, capsys, argv):
+    _refuse_builds(monkeypatch)
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("oracle_truncation = 100000000\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: oracle_truncation must be at most %d, "
+                            "got 100000000\n" % cli.TRUNCATION_LIMIT)
+    assert captured.out == ""
+
+
+def test_the_truncation_cap_itself_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("oracle_truncation = %d\n" % cli.TRUNCATION_LIMIT)
+    code, out = run_cli(capsys, "oracle", "--family", "polyCauchy1", "--n",
+                        "2", "--k", "1", "--q", "0.5", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out.splitlines()[2])["status"] == "verified"
 
 
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 import oracles as O
 import qpoly
 from qpoly import (
+    FAMILIES,
     DenominatorVanishes,
     ParamPoly,
     QPoly,
     QRat,
     eval_numeric,
+    family_t,
+    format_param_poly,
     poly_bernoulli,
     q_number,
     q_number_power_inverse,
@@ -64,6 +69,24 @@ def test_q_number_power_inverse_rejects_negative_index():
         q_number_power_inverse(-1, 1)
 
 
+@pytest.mark.parametrize("m", range(6))
+def test_depth_zero_needs_no_special_case(m):
+    # k = 0 takes the k >= 0 path: the zeroth power of [m+1]_q is 1/1
+    t = q_number_power_inverse(m, 0)
+    assert (t.num.coeffs, t.den.coeffs) == ((1,), (1,))
+
+
+def test_depth_zero_values_are_the_plain_t_sums():
+    # at k = 0 every t_m is 1; the text is pinned as it was printed when
+    # q_number_power_inverse still returned a shared 1/1 for k = 0
+    tvalues = [family_t(f, n) for f in FAMILIES for n in range(7)]
+    values = [specialize(tv, 0) for tv in tvalues]
+    assert values == [sum(tv, ParamPoly.zero()) for tv in tvalues]
+    text = "\n".join(map(format_param_poly, values))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "852d3215474760982508d6271e04176df39c16a0010824bc9f90a41d19a452d2")
+
+
 # --- QRat normalization -----------------------------------------------------
 
 def test_qrat_cancels_common_factor():
@@ -77,6 +100,24 @@ def test_qrat_cancels_common_factor():
 def test_qrat_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         QRat(1, QPoly([]))
+
+
+@pytest.mark.parametrize("a, b", [(QPoly(), q_number(3)),
+                                  (q_number(3), QPoly()), (QPoly(), QPoly())],
+                         ids=["left", "right", "both"])
+def test_product_with_an_empty_operand_needs_no_special_case(a, b):
+    # the general product trims an empty or all-zero result to 0
+    assert (a * b).coeffs == ()
+
+
+@pytest.mark.parametrize("p", [
+    poly_bernoulli(2, 1),
+    ParamPoly({(1, 0, 0): F(1, 2), (0, 2, 1): -3}),
+], ids=["qrat", "scalar"])
+def test_sum_with_zero_needs_no_special_case(p):
+    # collecting over an empty side returns the other side's terms
+    for total in (ParamPoly.zero() + p, p + ParamPoly.zero(), 0 + p):
+        assert total == p and total.terms == p.terms
 
 
 def test_qrat_evaluate_denominator_root():

@@ -130,6 +130,19 @@ def test_oracle_weights_past_the_float_range_raise_overflow():
 def test_oracle_rejects_non_finite_parameters(rho, z):
     with pytest.raises(ValueError):
         oracle_family("polyCauchy1", 3, 1, rho, z, OracleConfig(q=0.5))
+    # the closed form's numeric path refuses the same points the same way
+    with pytest.raises(ValueError, match="must be finite"):
+        eval_numeric(family_value("polyCauchy1", 3, 1), q=0.5, rho=rho, z=z)
+
+
+@pytest.mark.parametrize("point", [
+    {"rho": math.nan, "z": math.nan},
+    {"rho": 1.0, "z": 0.5, "y": math.inf},
+], ids=["unused-rho-and-z", "unused-y"])
+def test_eval_numeric_refuses_a_non_finite_point_it_does_not_use(point):
+    # n = 0 is the constant 1, which once read 1.0 at any rho and z
+    with pytest.raises(ValueError, match="must be finite"):
+        eval_numeric(family_value("polyCauchy1", 0, 1), q=0.5, **point)
 
 
 def test_truncation_failure_is_loud():

@@ -76,6 +76,17 @@ def test_compose_with_identity():
     assert series_compose(outer, t).coeffs == outer.coeffs
 
 
+def test_compose_reads_no_inner_coefficient_past_the_outer_order():
+    # powers of inner start at order n = 4, and each product keeps the
+    # smaller order, so inner's t^5..t^7 never enter
+    outer = _const_series([1, 1, F(1, 2), F(1, 6), F(1, 24)])
+    rho, z = ParamPoly.monomial(1, rho=1), ParamPoly.monomial(1, z=1)
+    inner = TruncSeries([0, 1, rho, z, rho * z, 3, z * z, 7])
+    got = series_compose(outer, inner)
+    assert got.order == 4
+    assert got.coeffs == series_compose(outer, inner.truncate(4)).coeffs
+
+
 def test_compose_rejects_nonzero_inner_constant():
     outer = _const_series([1, 1])
     inner = _const_series([1, 1])

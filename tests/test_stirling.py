@@ -15,6 +15,7 @@ from qpoly import (
     weighted_stirling1,
     weighted_stirling2,
 )
+from qpoly.stirling import WeightedStirling
 
 
 def _coeff_list(w):
@@ -96,6 +97,12 @@ def test_carlitz_expansion_equals_weighted_first_kind():
     for n in range(13):
         for m in range(n + 1):
             assert carlitz_expand(n, m) == weighted_stirling1(n, m)
+
+
+def test_carlitz_expansion_past_the_row_needs_no_special_case():
+    # m > n: the sum over i is empty and trims to the zero polynomial
+    assert carlitz_expand(3, 5) == WeightedStirling(3, 5, "first", ())
+    assert carlitz_expand(0, 1) == weighted_stirling1(0, 1)
 
 
 # --- orthogonality, oracle level --------------------------------------------
