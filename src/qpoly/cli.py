@@ -48,6 +48,9 @@ K_LIMIT = 10
 # At T = 10,000 an n = 50, k = 10 comparison takes 0.5 s, verify --scope
 # oracle 6 s.
 TRUNCATION_LIMIT = 10_000
+# Digits per order n that a family's own coefficients add to an exact value
+# at q = 1: at most 5.4 for |k| <= K_LIMIT, n <= N_LIMIT and rho, z = +-1.
+OWN_DIGITS_PER_ORDER = 6
 
 
 def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
@@ -69,10 +72,30 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _config_value(key: str, value: str):
+    """One config value, parsed and held to its key's bound or oracle
+    rule."""
+    if key == "k_range":
+        lo, hi = _parse_k_range(value)
+        _check_bounds(key, -K_LIMIT, K_LIMIT, lo, hi)
+        return lo, hi
+    if key == "tolerance":
+        tolerance = float(value)
+        OracleConfig(0.5, tolerance=tolerance)   # any q in (0, 1) will do
+        return tolerance
+    v = int(value)
+    if key == "oracle_truncation":
+        _check_bounds(key, 1, TRUNCATION_LIMIT, v)
+    else:
+        _check_bounds(key, 0, N_LIMIT, v)
+    return v
+
+
 def load_config(path: str) -> dict:
     """Read key = value lines; '#' starts a comment. Unknown keys are
     rejected so typos do not silently fall back to defaults, and a bad
-    line or value is named by its path:line (and key)."""
+    line or value, one past its bound included, is named by its path:line
+    (and key) as the line is read."""
     cfg = dict(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -87,12 +110,7 @@ def load_config(path: str) -> dict:
             if key not in cfg:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
             try:
-                if key == "k_range":
-                    cfg[key] = _parse_k_range(value)
-                elif key == "tolerance":
-                    cfg[key] = float(value)
-                else:
-                    cfg[key] = int(value)
+                cfg[key] = _config_value(key, value)
             except ValueError as exc:
                 raise ValueError("%s:%d: %s: %s"
                                  % (path, lineno, key, exc)) from None
@@ -157,11 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _get_config(args) -> dict:
-    cfg = load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
-    if cfg["oracle_truncation"] > TRUNCATION_LIMIT:
-        raise ValueError("oracle_truncation must be at most %d, got %d"
-                         % (TRUNCATION_LIMIT, cfg["oracle_truncation"]))
-    return cfg
+    return load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
 
 
 def _point_arg(flag: str, text: str | None,
@@ -184,9 +198,36 @@ def _point_arg(flag: str, text: str | None,
                          % (flag, text)) from None
 
 
-def _eval_point(args) -> tuple:
+def _digits(i: int) -> int:
+    """The decimal digits of i, read off its bit length (at most one
+    over), since str(i) may itself be past the print limit."""
+    return int(abs(i).bit_length() * 0.30103) + 1
+
+
+def _check_print_size(args, n: int, rho, z) -> None:
+    """Refuse an exact --rho/--z at which values up to order n may hold
+    an int longer than Python prints (sys.get_int_max_str_digits()). Such
+    a value is of degree n in rho and z, so its numerator and denominator
+    have at most about n times the digits of the point's, plus the
+    family's own (OWN_DIGITS_PER_ORDER)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    given = [(flag, text, v) for flag, text, v in (("--rho", args.rho, rho),
+                                                   ("--z", args.z, z))
+             if v is not None]
+    digits = sum(_digits(v.numerator) + _digits(v.denominator)
+                 for _, _, v in given)
+    size = max(n, 1) * (digits + OWN_DIGITS_PER_ORDER)
+    if given and limit and size > limit:
+        raise ValueError("%s: values up to n = %d would have about %d "
+                         "digits, past the %d that Python prints"
+                         % (" ".join("%s %s" % g[:2] for g in given), n,
+                            size, limit))
+
+
+def _eval_point(args, n: int) -> tuple:
     """Check the evaluation flags and return (rho, z): exact, or rounded to
-    floats under --q. Every flag error is raised here, before any output."""
+    floats under --q. Every flag error is raised here, before any output;
+    n is the largest order that will be evaluated."""
     numeric = args.q is not None
     if args.at_q1 and numeric:
         raise ValueError("--at-q1 and --q are mutually exclusive")
@@ -198,6 +239,7 @@ def _eval_point(args) -> tuple:
         return 1.0 if rho is None else rho, 0.0 if z is None else z
     if not args.at_q1 and (rho is not None or z is not None):
         raise ValueError("--rho/--z need --at-q1 or --q")
+    _check_print_size(args, n, rho, z)
     return rho, z
 
 
@@ -252,7 +294,7 @@ def _cmd_values(args, out) -> int:
         flag, last, ns = "--n", args.n, (args.n,)
     _check_bounds(flag, 0, N_LIMIT, last)
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
-    rho, z = _eval_point(args)
+    rho, z = _eval_point(args, last)
 
     def record(n: int) -> dict:
         value = specialize(family_t(args.family, n), args.k)
@@ -304,9 +346,6 @@ def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
 
 def _cmd_verify(args, out) -> int:
     cfg = _get_config(args)
-    for key in ("series_order", "nmax_identities", "nmax_mixed",
-                "nmax_oracle"):
-        _check_bounds(key, 0, N_LIMIT, cfg[key])
     if args.nmax is not None:
         _check_bounds("--nmax", 0, N_LIMIT, args.nmax)
         nmax_gf = args.nmax
@@ -314,14 +353,16 @@ def _cmd_verify(args, out) -> int:
     else:
         nmax_gf = cfg["series_order"]
         nmax_ids = cfg["nmax_identities"]
-    try:
-        lo, hi = cfg["k_range"] if args.k is None else _parse_k_range(args.k)
-    except ValueError as exc:
-        raise ValueError("--k: %s" % exc) from None
-    _check_bounds("k_range" if args.k is None else "--k",
-                  -K_LIMIT, K_LIMIT, lo, hi)
+    if args.k is None:
+        lo, hi = cfg["k_range"]
+    else:
+        try:
+            lo, hi = _parse_k_range(args.k)
+        except ValueError as exc:
+            raise ValueError("--k: %s" % exc) from None
+        _check_bounds("--k", -K_LIMIT, K_LIMIT, lo, hi)
     ks = range(lo, hi + 1)
-    # a bad --q or oracle setting is refused here, before any sweep
+    # a bad --q is refused here, before any sweep
     qs = (args.q,) if args.q is not None else (0.3, 0.7)
     oracle_configs = [OracleConfig(q, cfg["oracle_truncation"],
                                    cfg["tolerance"]) for q in qs]
@@ -351,7 +392,7 @@ def _cmd_oracle(args, out) -> int:
     _check_bounds("--n", 0, N_LIMIT, args.n)
     _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
     cfg = _get_config(args)
-    rho, z = _eval_point(args)
+    rho, z = _eval_point(args, args.n)
     ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
                         tolerance=cfg["tolerance"])
     # a value past the float range is refused before the closed form is built

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import ParamPoly
 from .families import FAMILIES, family_t, specialize
-from .series import family_gf_t
+from .series import _gf_rows
 from .stirling import (
     substitute_weight,
     weighted_stirling1,
@@ -303,10 +303,9 @@ def run_gf_sweep(nmax: int, k_values: Sequence[int]) -> list[IdentityReport]:
     judged at each k. Reports are GF_<family>, in (family, n, k) order."""
     reports = []
     for family in FAMILIES:
-        gf = family_gf_t(family, nmax)
+        rows = _gf_rows(family, nmax)[0]
         for n in range(nmax + 1):
-            diff = _trim(c.scale(factorial(n)) - p
-                         for c, p in zip(gf[n], family_t(family, n)))
+            diff = _trim(a - p for a, p in zip(rows[n], family_t(family, n)))
             reports.extend(_verdict("GF_" + family, n, k, diff, 1)
                            for k in k_values)
     return reports

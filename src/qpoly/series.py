@@ -2,18 +2,24 @@
 
 This is the second, independent computation path for the families: their
 exponential generating functions are expanded here with exact arithmetic
-and compared coefficient by coefficient against the closed forms. Order-N
-truncation is exact because every composition argument has zero constant
-term, so no discarded term can feed back into a kept one.
+and compared coefficient by coefficient against the closed forms. They
+are built in the EGF basis, as integer rows A_{n,j} = n! [t^n] S_j: an
+EGF product is a binomial convolution, so row n follows from the rows
+below it in integers, and each family's table grows one row at a time.
+
+TruncSeries and series_compose serve the weighted Stirling columns
+(gf_weighted_stirling) and library callers. Order-N truncation is exact
+because every composition argument has zero constant term, so no
+discarded term can feed back into a kept one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
-from .core import ParamPoly, _power
+from .core import ParamPoly, _div, _power
 from .families import FAMILIES, specialize
 
 __all__ = [
@@ -130,56 +136,89 @@ def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
 # generating functions
 
 
-def _rho_argument(order: int, den) -> TruncSeries:
-    """sum_{n>=1} (-1)^(n-1) rho^(n-1) t^n / den(n). With den(n) = n! this
-    is (1 - e^(-rho t)) / rho; with den(n) = n it is log(1 + rho t) / rho."""
-    coeffs = [ParamPoly.zero()]
-    for n in range(1, order + 1):
-        c = Fraction(1 if n % 2 else -1, den(n))
-        coeffs.append(ParamPoly.monomial(c, rho=n - 1))
-    return TruncSeries(coeffs)
-
-
-def _exp_linear(order: int, sign: int) -> TruncSeries:
-    """exp(sign * z * t): t^n picks z^n sign^n / n!."""
-    return TruncSeries([ParamPoly.monomial(Fraction(sign ** n, factorial(n)),
-                                           z=n)
+def _exp_linear(order: int) -> TruncSeries:
+    """exp(z t): t^n picks z^n / n!."""
+    return TruncSeries([ParamPoly.monomial(Fraction(1, factorial(n)), z=n)
                         for n in range(order + 1)])
 
 
-# family -> its generating function's t^n coefficients in the t-basis, up
-# to the largest order built; they do not depend on the truncation order
-_GF_T: dict[str, tuple] = {}
+def _divexact(p: ParamPoly, d: int) -> ParamPoly:
+    """p / d for an integer polynomial p that d divides term by term."""
+    terms = {}
+    for e, c in p.terms.items():
+        terms[e], rem = divmod(c, d)
+        if rem:
+            raise ArithmeticError("%r is not divisible by %d" % (p, d))
+    return ParamPoly._raw(terms)
+
+
+def _convolution(parts) -> ParamPoly:
+    """sum of c rho^r z^s p over the (c, r, s, p) parts, in one pass."""
+    return ParamPoly._collect(((e[0] + r, e[1] + s, e[2]), c * x)
+                              for c, r, s, p in parts
+                              for e, x in p.terms.items())
+
+
+def _next_row(family: str, rows: list) -> tuple:
+    """The integer EGF row n = len(rows), A_{n,j} = n! [t^n] S_j for
+    j <= n, from the rows below it by binomial convolutions. S_j is
+    S_{j-1} times the series with A_m = weight[m] rho^(m-1): w = (1 -
+    e^(-rho t))/rho for the Bernoulli type, v = +-log(1 + rho t)/rho over
+    j for the Cauchy types."""
+    n = len(rows)
+    if family == "polyBernoulli":
+        weight = [1 if m % 2 else -1 for m in range(n + 1)]
+        row = [ParamPoly.monomial(-1 if n % 2 else 1, z=n)]   # e^(-z t)
+    else:
+        sign = 1 if family == "polyCauchy1" else -1
+        weight = [(sign if m % 2 else -sign) * factorial(m - 1) if m else 0
+                  for m in range(n + 1)]
+        # E = exp(-z v) has E' = -z v' E, and v' has the EGF coefficients
+        # A_{m+1}(v), so row n of E convolves the rows below it
+        row = [_convolution((-comb(n - 1, i) * weight[i + 1], i, 1,
+                             rows[n - 1 - i][0]) for i in range(n))
+               if n else ParamPoly.const(1)]
+    for j in range(1, n + 1):
+        # S_{j-1} starts at t^(j-1), w and v at t^1
+        a = _convolution((comb(n, i) * weight[n - i], n - i - 1, 0,
+                          rows[i][j - 1]) for i in range(j - 1, n))
+        row.append(a if family == "polyBernoulli" else _divexact(a, j))
+    return tuple(row)
+
+
+# family -> (integer rows, t rows): row n holds A_{n,j} = n! [t^n] S_j for
+# j <= n, and t row n the same row divided by n!. A larger order appends
+# rows, so no row once built is built again.
+_GF_T: dict[str, tuple[list, list]] = {}
+
+
+def _gf_rows(family: str, order: int) -> tuple[list, list]:
+    """The family's cached (integer rows, t rows), grown to order."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    rows, t_rows = _GF_T.setdefault(family, ([], []))
+    for n in range(len(rows), order + 1):
+        rows.append(_next_row(family, rows))
+        scale = factorial(n)
+        t_rows.append(tuple(ParamPoly._raw({e: _div(c, scale)
+                                            for e, c in a.terms.items()})
+                            for a in rows[n]))
+    return rows, t_rows
 
 
 def family_gf_t(family: str, order: int) -> tuple:
     """The family's generating function sum_j t_j S_j in the t-basis, with
     q-free S_j: w^j e^(-z t) for the Bernoulli type, v^j/j! exp(-z v) with
     v = u and v = -u for the Cauchy types (see gf_poly_*). Entry n holds
-    [t^n] S_j for j <= n (S_j starts at t^j); entries may run past order."""
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % family)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    coeffs = _GF_T.get(family, ())
-    if len(coeffs) <= order:
-        bernoulli = family == "polyBernoulli"
-        if bernoulli:
-            arg = _rho_argument(order, factorial)
-            power = _exp_linear(order, -1)
-        else:
-            arg = _rho_argument(order, lambda n: n)
-            arg = arg if family == "polyCauchy1" else -arg
-            power = series_exp(arg.scale(ParamPoly.monomial(-1, z=1)))
-        series = [power]
-        for j in range(1, order + 1):
-            power = power * arg if bernoulli else (
-                (power * arg).scale(Fraction(1, j)))
-            series.append(power)
-        coeffs = _GF_T[family] = tuple(
-            tuple(s.coeffs[n] for s in series[:n + 1])
-            for n in range(order + 1))
-    return coeffs
+    [t^n] S_j for j <= n (S_j starts at t^j); entries may run past order.
+
+    Entry n is the integer EGF row A_{n,j} = n! [t^n] S_j divided by n!
+    once, when the row is appended. The rows are cached per family: a
+    larger order appends rows and never rebuilds the ones already there,
+    so two orders share their entries."""
+    return tuple(_gf_rows(family, order)[1])
 
 
 def family_gf(family: str, k: int, order: int) -> TruncSeries:
@@ -227,7 +266,7 @@ def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:
         base = TruncSeries([ParamPoly.zero()]
                            + [ParamPoly.const(Fraction(1, factorial(i)))
                               for i in range(1, order + 1)])
-        front = _exp_linear(order, 1)
+        front = _exp_linear(order)
     elif kind == "first":
         base = TruncSeries([ParamPoly.zero()]
                            + [ParamPoly.const(Fraction(1, i))

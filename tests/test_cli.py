@@ -7,7 +7,6 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
 
@@ -369,13 +368,12 @@ def test_csv_rows_are_what_csv_writer_writes(capsys, table):
 
 
 def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
-    # z^n/n! on the t_0 component of each t^n coefficient adds z^n to the
-    # n-th family value of the series at every k, since t_0 = 1
-    series.family_gf("polyCauchy2", 0, 12)
-    planted = tuple(
-        (c[0] + ParamPoly.monomial(F(1, factorial(n)), z=n),) + c[1:]
-        for n, c in enumerate(series._GF_T["polyCauchy2"]))
-    monkeypatch.setitem(series._GF_T, "polyCauchy2", planted)
+    # z^n on the t_0 component of each integer row n! [t^n] S_j adds z^n to
+    # the n-th family value of the series at every k, since t_0 = 1
+    rows, t_rows = series._gf_rows("polyCauchy2", 12)
+    planted = [(a[0] + ParamPoly.monomial(1, z=n),) + a[1:]
+               for n, a in enumerate(rows)]
+    monkeypatch.setitem(series._GF_T, "polyCauchy2", (planted, t_rows))
     code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
                         "--k", "0,1")
     assert code == 1
@@ -634,7 +632,8 @@ def test_config_depths_beyond_the_limit_are_refused_before_any_build(
     cfg = tmp_path / "qpoly.cfg"
     cfg.write_text("k_range = %s\n" % k_range)
     assert main(["verify", "--scope", "all", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: k_range")
+    assert capsys.readouterr().err.startswith(
+        "error: %s:1: k_range: k_range must lie in" % cfg)
 
 
 def test_the_size_limit_itself_is_accepted(capsys):
@@ -674,11 +673,24 @@ def test_config_tolerance_must_be_finite(tmp_path, capsys, text):
 @pytest.mark.parametrize("scope", ["gf", "identities", "all"])
 def test_a_bad_oracle_config_is_refused_before_any_build(
         monkeypatch, tmp_path, capsys, scope):
+    # each line is held to its key's bound or oracle rule as it is read,
+    # so the error names its path:line and key
     _refuse_builds(monkeypatch)
     cfg = tmp_path / "qpoly.cfg"
-    cfg.write_text("oracle_truncation = 0\n")
-    assert main(["verify", "--scope", scope, "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: truncation must be positive\n"
+    for line, why in [
+            ("oracle_truncation = 0",
+             "oracle_truncation must lie in 1..%d, got 0"
+             % cli.TRUNCATION_LIMIT),
+            ("tolerance = inf", "tolerance must be positive and finite"),
+            ("series_order = %d" % (cli.N_LIMIT + 1),
+             "series_order must lie in 0..%d, got %d"
+             % (cli.N_LIMIT, cli.N_LIMIT + 1))]:
+        cfg.write_text("# comment\n%s\n" % line)
+        assert main(["verify", "--scope", scope, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s:2: %s: %s\n" % (
+            cfg, line.split()[0], why)
+        assert captured.out == ""
 
 
 def test_oracle_refuses_a_nan_rho_before_building_the_value(
@@ -789,6 +801,35 @@ def test_a_bad_value_names_its_flag(monkeypatch, capsys, argv, where):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, where", [
+    (VALUE_ARGS + ["--n", "50", "--at-q1", "--rho", "1e100", "--z", "1/3"],
+     "--rho 1e100 --z 1/3"),
+    (["table", "polyCauchy1", "--nmax", "50", "--k", "1", "--at-q1",
+      "--z=-1/1" + "0" * 100], "--z -1/1000"),
+    # the point alone is past the limit, whatever n
+    (VALUE_ARGS + ["--n", "0", "--at-q1", "--rho", "1e5000"], "--rho 1e5000"),
+])
+def test_an_exact_point_too_large_to_print_is_refused_before_any_build(
+        monkeypatch, capsys, argv, where):
+    _refuse_builds(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s" % where)
+    assert "past the %d that Python prints" % sys.get_int_max_str_digits() \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_an_exact_point_just_inside_the_print_limit_prints(capsys):
+    # 50 * (75 + 1 + 1 + 1 + 6) = 4200 estimated digits: accepted, and the
+    # largest family value at k = 10 prints
+    code, out = run_cli(capsys, "value", "--family", "polyCauchy1", "--n",
+                        "50", "--k", str(cli.K_LIMIT), "--at-q1",
+                        "--rho", "1e74", "--z=-1")
+    assert code == 0
+    assert F(json.loads(out)["value"]) != 0
+
+
 @pytest.mark.parametrize("line", ["series_order = abc", "k_range = 1,x",
                                   "k_range = 3,1", "tolerance = tiny",
                                   "nmax_oracle = 2.5"])
@@ -820,8 +861,9 @@ def test_an_oracle_truncation_past_the_cap_is_refused_before_any_build(
     cfg.write_text("oracle_truncation = 100000000\n")
     assert main(argv + ["--config", str(cfg)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: oracle_truncation must be at most %d, "
-                            "got 100000000\n" % cli.TRUNCATION_LIMIT)
+    assert captured.err == (
+        "error: %s:1: oracle_truncation: oracle_truncation must lie in "
+        "1..%d, got 100000000\n" % (cfg, cli.TRUNCATION_LIMIT))
     assert captured.out == ""
 
 

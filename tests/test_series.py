@@ -2,27 +2,33 @@
 
 import hashlib
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 import oracles as O
 import qpoly.series as series
 from qpoly import (
+    FAMILIES,
     NonZeroConstantTerm,
     ParamPoly,
     TruncSeries,
     egf_coefficient,
+    families,
     family_gf,
+    family_gf_t,
     format_param_poly,
     gf_poly_bernoulli,
     gf_poly_cauchy1,
     gf_poly_cauchy2,
     gf_weighted_stirling,
+    identities,
     poly_bernoulli,
     poly_cauchy1,
     poly_cauchy2,
     series_compose,
     series_exp,
+    stirling,
     weighted_stirling1,
     weighted_stirling2,
 )
@@ -128,10 +134,76 @@ def test_gf_equals_closed_form():
                 assert egf_coefficient(s, n) == closed(n, k), (k, n)
 
 
-def test_gf_orders_share_their_coefficients(monkeypatch):
-    # the q-free coefficients are cached per family at the largest order
-    # built; a smaller order is a truncation, a larger one a rebuild
+def _reference_rows(family, order):
+    """n! [t^n] S_j for j <= n <= order, from series products and
+    series_exp: the route the integer rows replace."""
+    def rho_argument(den):
+        # (1 - e^(-rho t))/rho with den = n!, log(1 + rho t)/rho with den = n
+        return TruncSeries([0] + [
+            ParamPoly.monomial(F(1 if n % 2 else -1, den(n)), rho=n - 1)
+            for n in range(1, order + 1)])
+
+    if family == "polyBernoulli":
+        arg = rho_argument(factorial)
+        power = TruncSeries([ParamPoly.monomial(F((-1) ** n, factorial(n)),
+                                                z=n)
+                             for n in range(order + 1)])
+    else:
+        arg = rho_argument(lambda n: n)
+        arg = arg if family == "polyCauchy1" else -arg
+        power = series_exp(arg.scale(ParamPoly.monomial(-1, z=1)))
+    powers = [power]
+    for j in range(1, order + 1):
+        power = power * arg
+        if family != "polyBernoulli":
+            power = power.scale(F(1, j))
+        powers.append(power)
+    return [tuple(egf_coefficient(s, n) for s in powers[:n + 1])
+            for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integer_rows_equal_the_series_route(monkeypatch, family):
     monkeypatch.setattr(series, "_GF_T", {})
+    rows, t_rows = series._gf_rows(family, 12)
+    assert rows == _reference_rows(family, 12)
+    assert {type(c) for row in rows for a in row
+            for c in a.terms.values()} == {int}
+    for n, (row, t_row) in enumerate(zip(rows, t_rows)):
+        assert t_row == tuple(a.scale(F(1, factorial(n))) for a in row)
+
+
+def test_a_row_division_with_a_remainder_raises():
+    # the Cauchy rows divide by j; an inexact quotient is a fault, not floored
+    p = ParamPoly({(1, 0, 0): 4, (0, 2, 0): -6})
+    assert series._divexact(p, 2) == ParamPoly({(1, 0, 0): 2, (0, 2, 0): -3})
+    with pytest.raises(ArithmeticError):
+        series._divexact(p, 4)
+
+
+def test_integer_rows_read_no_stirling_table(monkeypatch):
+    # the gf route is independent of the closed forms' tables
+    def refuse(*args):
+        raise AssertionError("the gf route read a Stirling table")
+
+    monkeypatch.setattr(series, "_GF_T", {})
+    for module in (stirling, families, identities):
+        for name in ("weighted_stirling1", "weighted_stirling2", "stirling1",
+                     "substitute_weight"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for family in FAMILIES:
+        assert len(family_gf_t(family, 12)) == 13
+
+
+def test_gf_orders_share_their_coefficients(monkeypatch):
+    # the q-free coefficients are cached per family and grown a row at a
+    # time: a smaller order is a truncation, a larger one appends rows
+    monkeypatch.setattr(series, "_GF_T", {})
+    small = family_gf_t("polyCauchy2", 3)
+    large = family_gf_t("polyCauchy2", 9)
+    assert len(small) == 4 and len(large) == 10
+    assert all(large[n] is small[n] for n in range(4))
     for order in (3, 9, 5):
         s = gf_poly_cauchy2(-1, order)
         assert s.order == order
