@@ -51,6 +51,11 @@ TRUNCATION_LIMIT = 10_000
 # Digits per order n that a family's own coefficients add to an exact value
 # at q = 1: at most 5.4 for |k| <= K_LIMIT, n <= N_LIMIT and rho, z = +-1.
 OWN_DIGITS_PER_ORDER = 6
+# A --rho/--z decimal exponent this far past the text's length puts a value
+# past the float range (10^308), or below it (10^-324) to round to zero.
+FLOAT_EXPONENT = 400
+# the most digits Python prints of an int; 0 for no limit
+_print_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
@@ -139,16 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="reference rows n = 0..nmax")
     t.add_argument("family", choices=FAMILIES)
     t.add_argument("--nmax", type=int, required=True)
-    t.add_argument("--k", type=int, required=True)
-    t.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
-    add_eval_flags(t)
-
     v = sub.add_parser("value", help="a single value record")
     v.add_argument("--family", choices=FAMILIES, required=True)
     v.add_argument("--n", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--format", choices=("csv", "json", "latex"), default="json")
-    add_eval_flags(v)
+    for p, fmt in ((t, "csv"), (v, "json")):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--format", choices=("csv", "json", "latex"),
+                       default=fmt)
+        add_eval_flags(p)
 
     r = sub.add_parser("verify", help="verification sweeps, JSON lines out")
     r.add_argument("--scope", choices=("gf", "identities", "oracle", "all"),
@@ -181,12 +184,24 @@ def _get_config(args) -> dict:
 def _point_arg(flag: str, text: str | None,
                numeric: bool) -> Fraction | float | None:
     """An optional --rho/--z value as an exact fraction, or when numeric
-    as its float, correctly rounded as float(text) is."""
+    as its float, correctly rounded as float(text) is. Fraction(text)
+    builds 10^|e| for a decimal exponent e (minutes at e = 10^8); past the
+    text's length plus FLOAT_EXPONENT or the print limit, e alone decides
+    a nonzero value, so it is cut to just past the bound first."""
     if text is None:
         return None
+    head, _, tail = text.replace("E", "e").rpartition("e")
     try:
-        value = Fraction(text)
-        return float(value) if numeric else value
+        e = int(tail) if head else 0
+        limit = FLOAT_EXPONENT if numeric else _print_limit()
+        huge = bool(limit) and abs(e) > len(text) + limit
+        # an exponent just past the bound gives the same float or refusal
+        value = Fraction(text[:len(head) + 1] + "%d" % (
+            (len(text) + limit + 1) * (1 if e > 0 else -1)) if huge else text)
+        if numeric:
+            return float(value)
+        if not (huge and value):
+            return value
     except ZeroDivisionError:
         raise ValueError("%s %s has a zero denominator"
                          % (flag, text)) from None
@@ -196,6 +211,8 @@ def _point_arg(flag: str, text: str | None,
     except ValueError:
         raise ValueError("%s %s is not a fraction or decimal"
                          % (flag, text)) from None
+    raise ValueError("%s %s would have over %d digits, past the %d that "
+                     "Python prints" % (flag, text, abs(e) - len(text), limit))
 
 
 def _digits(i: int) -> int:
@@ -210,7 +227,7 @@ def _check_print_size(args, n: int, rho, z) -> None:
     a value is of degree n in rho and z, so its numerator and denominator
     have at most about n times the digits of the point's, plus the
     family's own (OWN_DIGITS_PER_ORDER)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _print_limit()
     given = [(flag, text, v) for flag, text, v in (("--rho", args.rho, rho),
                                                    ("--z", args.z, z))
              if v is not None]
@@ -234,8 +251,6 @@ def _eval_point(args, n: int) -> tuple:
     rho = _point_arg("--rho", args.rho, numeric)
     z = _point_arg("--z", args.z, numeric)
     if numeric:
-        if not 0.0 < args.q < 1.0:
-            raise ValueError("q must lie strictly between 0 and 1")
         return 1.0 if rho is None else rho, 0.0 if z is None else z
     if not args.at_q1 and (rho is not None or z is not None):
         raise ValueError("--rho/--z need --at-q1 or --q")
@@ -346,13 +361,10 @@ def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
 
 def _cmd_verify(args, out) -> int:
     cfg = _get_config(args)
+    nmax_gf, nmax_ids = cfg["series_order"], cfg["nmax_identities"]
     if args.nmax is not None:
         _check_bounds("--nmax", 0, N_LIMIT, args.nmax)
-        nmax_gf = args.nmax
-        nmax_ids = args.nmax
-    else:
-        nmax_gf = cfg["series_order"]
-        nmax_ids = cfg["nmax_identities"]
+        nmax_gf = nmax_ids = args.nmax
     if args.k is None:
         lo, hi = cfg["k_range"]
     else:
@@ -362,7 +374,6 @@ def _cmd_verify(args, out) -> int:
             raise ValueError("--k: %s" % exc) from None
         _check_bounds("--k", -K_LIMIT, K_LIMIT, lo, hi)
     ks = range(lo, hi + 1)
-    # a bad --q is refused here, before any sweep
     qs = (args.q,) if args.q is not None else (0.3, 0.7)
     oracle_configs = [OracleConfig(q, cfg["oracle_truncation"],
                                    cfg["tolerance"]) for q in qs]
@@ -390,7 +401,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     _check_bounds("--n", 0, N_LIMIT, args.n)
-    _check_bounds("--k", -K_LIMIT, K_LIMIT, args.k)
+    _check_bounds("--k", 1, K_LIMIT, args.k)
     cfg = _get_config(args)
     rho, z = _eval_point(args, args.n)
     ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
@@ -415,6 +426,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        # every command takes --q; a bad one is refused before any build
+        if args.q is not None and not 0.0 < args.q < 1.0:
+            raise ValueError("--q must lie strictly between 0 and 1, got %r"
+                             % args.q)
         if args.command in ("table", "value"):
             return _cmd_values(args, out)
         if args.command == "verify":

@@ -8,10 +8,11 @@ statement about rational functions of q, not a numeric one.
 Orthogonality involves no family. Every other identity, like each
 generating function against its family (run_gf_sweep), is linear in the
 family values, so its difference is formed once per n in the t-basis of
-families, sum_m t_m D_m with q-free D_m and t_m = [m+1]_q^(-k), and shared
-by every k. The verdict at (n, k) is that t-difference specialized at k: a
-zero t-difference is one proof for every k and q, and a failure's witness
-is the specialized difference.
+families, sum_m t_m D_m with q-free D_m and t_m = [m+1]_q^(-k), cached per
+n (an lru_cache keyed by n alone) and shared by every k. The verdict at
+(n, k) is that t-difference specialized at k: a zero t-difference is one
+proof for every k and q, and a failure's witness is the specialized
+difference.
 
 Every identity t-difference has integer coefficients: the ones with 1/m!
 weights (T6, T7_3, T7_4) are formed times n!, and a failing one is divided
@@ -29,9 +30,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
+from . import series
 from .core import ParamPoly
 from .families import FAMILIES, family_t, specialize
-from .series import _gf_rows
 from .stirling import (
     substitute_weight,
     weighted_stirling1,
@@ -68,19 +69,6 @@ class IdentityReport(NamedTuple):
     witness: str | None = None
 
 
-@lru_cache(maxsize=None)
-def _t_differences(body, n: int, _inputs: tuple) -> tuple:
-    return body(n)
-
-
-def _memoized(body, n: int) -> tuple:
-    """body(n), memoized per (body, n); the key also holds the names of this
-    module the t-path reads, so rebinding one (to plant a fault, as the
-    tests do) never meets a value cached from another."""
-    return _t_differences(body, n, (family_t, substitute_weight,
-                                    weighted_stirling1, weighted_stirling2))
-
-
 def _verdict(identity_id: str, n: int, k: int, tdiff,
              scale: int) -> IdentityReport:
     """The verdict on tdiff at k, the rule of every exact check. tdiff is
@@ -98,10 +86,10 @@ def _verdict(identity_id: str, n: int, k: int, tdiff,
 
 def _verdicts(ids: Sequence[str], n: int, k: int, body,
               scales: Sequence[int]) -> list[IdentityReport]:
-    """The verdicts at k on the memoized t-differences body(n), one per
-    identity; row i of body(n) is scales[i] times its difference."""
+    """The verdicts at k on the t-differences body(n), one per identity;
+    row i of body(n) is scales[i] times its difference."""
     return [_verdict(i, n, k, d, s)
-            for i, d, s in zip(ids, _memoized(body, n), scales)]
+            for i, d, s in zip(ids, body(n), scales)]
 
 
 def _trim(tvalue) -> tuple[ParamPoly, ...]:
@@ -121,9 +109,10 @@ def _t_combination(pairs) -> tuple[ParamPoly, ...]:
                  for j in range(max(len(v) for _, v in pairs)))
 
 
+@lru_cache(maxsize=None)
 def _inverse_lhs(n: int) -> tuple:
     """The inverse relations' left sides at n in the t-basis,
-    sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z), as a _memoized body."""
+    sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z)."""
     return tuple(_t_combination([(substitute_weight(table(n, m), sign),
                                   family_t(family, m))
                                  for m in range(n + 1)])
@@ -185,10 +174,11 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
                      (1, 1, 1))
 
 
+@lru_cache(maxsize=None)
 def _inverse_t(n: int) -> tuple:
     # each right side is a multiple of t_n
     return tuple(_trim(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),))
-                 for lhs, rhs in zip(_memoized(_inverse_lhs, n),
+                 for lhs, rhs in zip(_inverse_lhs(n),
                                      (factorial(n), 1, (-1) ** n)))
 
 
@@ -218,6 +208,7 @@ def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
                      (scale, scale))
 
 
+@lru_cache(maxsize=None)
 def _reciprocity_t(n: int) -> tuple:
     # n! times each difference; the m-th weight is -L(n, m) rho^(n-m)
     sign = ParamPoly.const((-1) ** n)
@@ -256,9 +247,10 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
                      (1, 1, scale, scale))
 
 
+@lru_cache(maxsize=None)
 def _mixed_t(n: int) -> tuple:
     # each sum over l is an inverse relation's left side, z renamed to y
-    inner = [[_z_to_y(lhs) for lhs in _memoized(_inverse_lhs, m)]
+    inner = [[_z_to_y(lhs) for lhs in _inverse_lhs(m)]
              for m in range(n + 1)]
     out = []
     for lhs, table, sign, sign_by_m, cleared, relation in (
@@ -303,9 +295,9 @@ def run_gf_sweep(nmax: int, k_values: Sequence[int]) -> list[IdentityReport]:
     judged at each k. Reports are GF_<family>, in (family, n, k) order."""
     reports = []
     for family in FAMILIES:
-        rows = _gf_rows(family, nmax)[0]
         for n in range(nmax + 1):
-            diff = _trim(a - p for a, p in zip(rows[n], family_t(family, n)))
+            diff = _trim(a - p for a, p in zip(series._gf_row(family, n),
+                                               family_t(family, n)))
             reports.extend(_verdict("GF_" + family, n, k, diff, 1)
                            for k in k_values)
     return reports

@@ -5,7 +5,8 @@ exponential generating functions are expanded here with exact arithmetic
 and compared coefficient by coefficient against the closed forms. They
 are built in the EGF basis, as integer rows A_{n,j} = n! [t^n] S_j: an
 EGF product is a binomial convolution, so row n follows from the rows
-below it in integers, and each family's table grows one row at a time.
+below it in integers. Each row, and its t-basis twin divided by n!, is
+cached per (family, n).
 
 TruncSeries and series_compose serve the weighted Stirling columns
 (gf_weighted_stirling) and library callers. Order-N truncation is exact
@@ -16,6 +17,7 @@ discarded term can feed back into a kept one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -159,13 +161,15 @@ def _convolution(parts) -> ParamPoly:
                               for e, x in p.terms.items())
 
 
-def _next_row(family: str, rows: list) -> tuple:
-    """The integer EGF row n = len(rows), A_{n,j} = n! [t^n] S_j for
-    j <= n, from the rows below it by binomial convolutions. S_j is
-    S_{j-1} times the series with A_m = weight[m] rho^(m-1): w = (1 -
-    e^(-rho t))/rho for the Bernoulli type, v = +-log(1 + rho t)/rho over
-    j for the Cauchy types."""
-    n = len(rows)
+@lru_cache(maxsize=None)
+def _gf_row(family: str, n: int) -> tuple:
+    """The integer EGF row n, A_{n,j} = n! [t^n] S_j for j <= n, from the
+    cached rows below it by binomial convolutions. S_j is S_{j-1} times
+    the series with A_m = weight[m] rho^(m-1): w = (1 - e^(-rho t))/rho
+    for the Bernoulli type, v = +-log(1 + rho t)/rho over j for the Cauchy
+    types. Rows are read in ascending order, so each is cached before the
+    next reads it and the recursion is two calls deep at any n."""
+    rows = [_gf_row(family, i) for i in range(n)]
     if family == "polyBernoulli":
         weight = [1 if m % 2 else -1 for m in range(n + 1)]
         row = [ParamPoly.monomial(-1 if n % 2 else 1, z=n)]   # e^(-z t)
@@ -186,45 +190,31 @@ def _next_row(family: str, rows: list) -> tuple:
     return tuple(row)
 
 
-# family -> (integer rows, t rows): row n holds A_{n,j} = n! [t^n] S_j for
-# j <= n, and t row n the same row divided by n!. A larger order appends
-# rows, so no row once built is built again.
-_GF_T: dict[str, tuple[list, list]] = {}
-
-
-def _gf_rows(family: str, order: int) -> tuple[list, list]:
-    """The family's cached (integer rows, t rows), grown to order."""
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % family)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    rows, t_rows = _GF_T.setdefault(family, ([], []))
-    for n in range(len(rows), order + 1):
-        rows.append(_next_row(family, rows))
-        scale = factorial(n)
-        t_rows.append(tuple(ParamPoly._raw({e: _div(c, scale)
-                                            for e, c in a.terms.items()})
-                            for a in rows[n]))
-    return rows, t_rows
+@lru_cache(maxsize=None)
+def _gf_t_row(family: str, n: int) -> tuple:
+    """The integer row n divided by n!: [t^n] S_j for j <= n."""
+    scale = factorial(n)
+    return tuple(ParamPoly._raw({e: _div(c, scale)
+                                 for e, c in a.terms.items()})
+                 for a in _gf_row(family, n))
 
 
 def family_gf_t(family: str, order: int) -> tuple:
     """The family's generating function sum_j t_j S_j in the t-basis, with
     q-free S_j: w^j e^(-z t) for the Bernoulli type, v^j/j! exp(-z v) with
-    v = u and v = -u for the Cauchy types (see gf_poly_*). Entry n holds
-    [t^n] S_j for j <= n (S_j starts at t^j); entries may run past order.
-
-    Entry n is the integer EGF row A_{n,j} = n! [t^n] S_j divided by n!
-    once, when the row is appended. The rows are cached per family: a
-    larger order appends rows and never rebuilds the ones already there,
-    so two orders share their entries."""
-    return tuple(_gf_rows(family, order)[1])
+    v = u and v = -u for the Cauchy types (see gf_poly_*). Entry n, for
+    n <= order, holds [t^n] S_j for j <= n (S_j starts at t^j): the integer
+    row A_{n,j} = n! [t^n] S_j divided by n!, both cached per (family, n)."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return tuple(_gf_t_row(family, n) for n in range(order + 1))
 
 
 def family_gf(family: str, k: int, order: int) -> TruncSeries:
     """family_gf_t specialized at depth k, truncated at order."""
-    return TruncSeries([specialize(c, k)
-                        for c in family_gf_t(family, order)[:order + 1]])
+    return TruncSeries([specialize(c, k) for c in family_gf_t(family, order)])
 
 
 def gf_poly_bernoulli(k: int, order: int) -> TruncSeries:

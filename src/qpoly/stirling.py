@@ -71,6 +71,7 @@ def _plain_row_next(row: list[int], n: int, second: bool) -> list[int]:
     return out
 
 
+# a locked list, not an lru_cache, which would recurse n frames deep at row n
 _LOCK = threading.Lock()
 # rows 0..n of each triangle computed so far, keyed by (weighted, second)
 _TRIANGLES: dict[tuple[bool, bool], list] = {

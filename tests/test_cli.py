@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -241,16 +242,15 @@ def test_verify_gf_works_in_the_t_basis(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("scope", sorted(PINNED_VERIFY))
-def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, scope):
+def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, fresh_caches,
+                                          scope):
     # the t-basis values are q-free, so a proof that every difference is
     # zero needs no gcd and no QRat arithmetic; the caches are emptied so
     # that the t-basis values are rebuilt under the patches
     def refuse(*args):
         raise AssertionError("verification entered the q-kernel")
 
-    identities._t_differences.cache_clear()
     families.family_t.cache_clear()
-    monkeypatch.setattr(series, "_GF_T", {})
     monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
     for name in ("__init__", "__mul__", "__add__"):
         monkeypatch.setattr(QRat, name, refuse)
@@ -367,13 +367,16 @@ def test_csv_rows_are_what_csv_writer_writes(capsys, table):
     assert run_cli(capsys, *table, "--format", "csv") == (0, want.getvalue())
 
 
-def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys):
+def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys,
+                                                   fresh_caches):
     # z^n on the t_0 component of each integer row n! [t^n] S_j adds z^n to
     # the n-th family value of the series at every k, since t_0 = 1
-    rows, t_rows = series._gf_rows("polyCauchy2", 12)
-    planted = [(a[0] + ParamPoly.monomial(1, z=n),) + a[1:]
-               for n, a in enumerate(rows)]
-    monkeypatch.setitem(series._GF_T, "polyCauchy2", (planted, t_rows))
+    true_row = series._gf_row
+    planted = {n: (a[0] + ParamPoly.monomial(1, z=n),) + a[1:]
+               for n, a in enumerate(true_row("polyCauchy2", n)
+                                     for n in range(4))}
+    monkeypatch.setattr(series, "_gf_row", lambda family, n: (
+        planted[n] if family == "polyCauchy2" else true_row(family, n)))
     code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
                         "--k", "0,1")
     assert code == 1
@@ -517,8 +520,10 @@ def test_oracle_takes_any_depth_from_one(capsys):
     code, out = run_cli(capsys, *argv, "--k", "3")
     assert code == 0
     assert json.loads(out.strip().splitlines()[2])["status"] == "verified"
-    assert main(argv + ["--k", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for k in (0, -2, cli.K_LIMIT + 1):
+        assert main(argv + ["--k", str(k)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --k must lie in 1..%d, got %d\n" % (cli.K_LIMIT, k))
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -828,6 +833,69 @@ def test_an_exact_point_just_inside_the_print_limit_prints(capsys):
                         "--rho", "1e74", "--z=-1")
     assert code == 0
     assert F(json.loads(out)["value"]) != 0
+
+
+HUGE, TINY = "1e99999999", "-1e-99999999"
+ORACLE_ARGS = ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+               "--q", "0.5"]
+
+
+def _timed_main(argv):
+    # Fraction(HUGE) builds 10^99999999, which takes minutes
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5, argv
+    return code
+
+
+@pytest.mark.parametrize("argv, where", [
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE),
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--z=" + TINY], "--z " + TINY),
+    (TABLE_ARGS + ["--at-q1", "--rho=" + TINY], "--rho " + TINY),
+    (TABLE_ARGS + ["--at-q1", "--z", HUGE], "--z " + HUGE),
+], ids=["value-huge", "value-tiny", "table-tiny", "table-huge"])
+def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
+                                                       argv, where):
+    _refuse_builds(monkeypatch)
+    assert _timed_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s would have over 999999" % where)
+    assert captured.err.endswith(" digits, past the %d that Python prints\n"
+                                 % sys.get_int_max_str_digits())
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    VALUE_ARGS + ["--n", "3", "--q", "0.5"],
+    TABLE_ARGS + ["--q", "0.5", "--format", "json"], ORACLE_ARGS],
+    ids=["value", "table", "oracle"])
+@pytest.mark.parametrize("flag", ["--rho", "--z"])
+def test_a_huge_decimal_exponent_is_decided_as_a_float(capsys, argv, flag):
+    # past the float range is refused; below it rounds to -0.0, as the
+    # float of -1e-330 does
+    assert _timed_main(argv + [flag, HUGE]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s %s is past the float range\n" % (
+        flag, HUGE)
+    assert captured.out == ""
+    code, out = run_cli(capsys, *argv, "%s=-1e-330" % flag)
+    assert (_timed_main(argv + ["%s=%s" % (flag, TINY)]),
+            capsys.readouterr().out) == (code, out)
+    assert code == 0 and "-0.0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    VALUE_ARGS + ["--n", "3", "--q"], TABLE_ARGS + ["--q"],
+    ["verify", "--scope", "oracle", "--q"], ORACLE_ARGS[:-1]],
+    ids=["value", "table", "verify", "oracle"])
+@pytest.mark.parametrize("q", ["1.5", "nan", "0", "-0.5"])
+def test_a_bad_q_names_its_flag(monkeypatch, capsys, argv, q):
+    _refuse_builds(monkeypatch)
+    assert main(argv + [q]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: --q must lie strictly between 0 and 1, got %r\n" % float(q))
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", ["series_order = abc", "k_range = 1,x",

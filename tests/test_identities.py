@@ -2,10 +2,12 @@
 
 import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
 import qpoly.identities as identities
+from conftest import use_fresh_caches
 from qpoly import (
     IDENTITY_IDS,
     IdentityReport,
@@ -132,11 +134,8 @@ def _perturb_cauchy2(monkeypatch):
     monkeypatch.setattr(identities, "family_t", perturbed)
 
 
-def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
-    # the unpatched check runs first, so its t-differences are memoized;
-    # the patched call must still see the planted fault
-    assert [r.status for r in check_kind_reciprocity(2, 1)] == [
-        "verified", "verified"]
+def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch,
+                                                             fresh_caches):
     _perturb_cauchy2(monkeypatch)
     reports = check_kind_reciprocity(2, 1)
     assert [r.status for r in reports] == ["failed", "failed"]
@@ -151,18 +150,19 @@ def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch):
         assert parse_param_poly(r.witness) == expected[r.identity_id]
 
 
-def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch):
-    # the T7 inner sums are the inverse left sides, memoized per n and read
+def test_a_planted_fault_reaches_the_memoized_t7_inner_sums(monkeypatch,
+                                                            fresh_caches):
+    # the T7 inner sums are the inverse left sides, cached per n and read
     # with z renamed y; T7_2 reads g_l(y) only through them, so its failure
-    # shows that the memo warmed here is not met once family_t is rebound
-    assert {r.status for r in check_mixed_expansions(2, 1)} == {"verified"}
+    # shows that the plant reaches them
     _perturb_cauchy2(monkeypatch)
     assert [(r.identity_id, r.status) for r in check_mixed_expansions(2, 1)] \
         == [("T7_1", "verified"), ("T7_2", "failed"),
             ("T7_3", "verified"), ("T7_4", "failed")]
 
 
-def test_rescaled_t7_witnesses_are_the_differences(monkeypatch):
+def test_rescaled_t7_witnesses_are_the_differences(monkeypatch,
+                                                    fresh_caches):
     # T7_4 is built times n! and its witness divided back; T7_2 is built
     # unscaled. The texts are those of the differences themselves. T7_2
     # meets the plant only in its inner sums, as g_l(y) + y^l.
@@ -176,7 +176,7 @@ def test_rescaled_t7_witnesses_are_the_differences(monkeypatch):
         "(1)/(1)*z^3 + (6)/(1)*rho^1*z^1*y^1 + (12)/(1)*rho^2*y^1")
 
 
-def test_every_t_difference_is_built_in_integers(monkeypatch):
+def test_every_t_difference_is_built_in_integers(monkeypatch, fresh_caches):
     # a verified difference is empty, so the scalars are also checked
     # where they enter (each weight and value _t_combination sums) and
     # the differences are made nonzero by a planted fault
@@ -195,21 +195,22 @@ def test_every_t_difference_is_built_in_integers(monkeypatch):
                      (identities._reciprocity_t, range(1, 11)),
                      (identities._mixed_t, range(9)),
                      (identities._inverse_lhs, range(11))):
-        out = [c for n in ns for row in identities._memoized(body, n)
+        out = [c for n in ns for row in body(n)
                for p in row for c in p.terms.values()]
         assert out, body.__name__
         scalars.extend(out)
     assert {type(c) for c in scalars} == {int}
 
 
-def test_t5_and_t7_share_one_inverse_left_side_per_n(monkeypatch):
+def test_t5_and_t7_share_one_inverse_left_side_per_n(monkeypatch,
+                                                      fresh_caches):
     # the T7 inner sums are the T5 left sides with z renamed y, so a sweep
     # over both builds each left side once; T5 stops at n = 6 here, so the
     # builds at 7 and 8 come from T7 alone
-    identities._t_differences.cache_clear()
     calls = []
-    true_lhs = identities._inverse_lhs
+    true_lhs = identities._inverse_lhs.__wrapped__
 
+    @lru_cache(maxsize=None)
     def counted(n):
         calls.append(n)
         return true_lhs(n)
@@ -217,6 +218,22 @@ def test_t5_and_t7_share_one_inverse_left_side_per_n(monkeypatch):
     monkeypatch.setattr(identities, "_inverse_lhs", counted)
     run_identity_sweep(nmax=6, nmax_mixed=8, k_values=(-1, 2))
     assert calls == list(range(9))
+
+
+def test_a_fault_planted_in_fresh_caches_leaves_the_shared_ones_clean():
+    # the plant fails T5, T6 and T7 in caches of their own; once it is
+    # undone, the same checks read the shared caches, which never saw it
+    def failed():
+        return [r.identity_id for check in (check_inverse_relations,
+                                            check_kind_reciprocity,
+                                            check_mixed_expansions)
+                for r in check(2, 1) if r.status == "failed"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        use_fresh_caches(patch)
+        _perturb_cauchy2(patch)
+        assert failed() == ["T5_203", "T6_301", "T6_302", "T7_2", "T7_4"]
+    assert failed() == []
 
 
 def test_verdict_judges_the_t_difference_at_k():
@@ -253,7 +270,7 @@ def test_orthogonality_failure_names_the_column(monkeypatch):
                                             "m=1: (-1)/(1)"]
 
 
-def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys, fresh_caches):
     _perturb_cauchy2(monkeypatch)
     code = main(["verify", "--scope", "identities", "--nmax", "2",
                  "--k", "1"])

@@ -1,6 +1,7 @@
 """Truncated series engine and the generating-function route."""
 
 import hashlib
+import threading
 from fractions import Fraction as F
 from math import factorial
 
@@ -163,9 +164,9 @@ def _reference_rows(family, order):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_integer_rows_equal_the_series_route(monkeypatch, family):
-    monkeypatch.setattr(series, "_GF_T", {})
-    rows, t_rows = series._gf_rows(family, 12)
+def test_integer_rows_equal_the_series_route(fresh_caches, family):
+    rows = [series._gf_row(family, n) for n in range(13)]
+    t_rows = family_gf_t(family, 12)
     assert rows == _reference_rows(family, 12)
     assert {type(c) for row in rows for a in row
             for c in a.terms.values()} == {int}
@@ -181,12 +182,11 @@ def test_a_row_division_with_a_remainder_raises():
         series._divexact(p, 4)
 
 
-def test_integer_rows_read_no_stirling_table(monkeypatch):
+def test_integer_rows_read_no_stirling_table(monkeypatch, fresh_caches):
     # the gf route is independent of the closed forms' tables
     def refuse(*args):
         raise AssertionError("the gf route read a Stirling table")
 
-    monkeypatch.setattr(series, "_GF_T", {})
     for module in (stirling, families, identities):
         for name in ("weighted_stirling1", "weighted_stirling2", "stirling1",
                      "substitute_weight"):
@@ -196,10 +196,9 @@ def test_integer_rows_read_no_stirling_table(monkeypatch):
         assert len(family_gf_t(family, 12)) == 13
 
 
-def test_gf_orders_share_their_coefficients(monkeypatch):
-    # the q-free coefficients are cached per family and grown a row at a
-    # time: a smaller order is a truncation, a larger one appends rows
-    monkeypatch.setattr(series, "_GF_T", {})
+def test_gf_orders_share_their_coefficients(fresh_caches):
+    # the q-free coefficients are cached per (family, n): two orders share
+    # the entries below both
     small = family_gf_t("polyCauchy2", 3)
     large = family_gf_t("polyCauchy2", 9)
     assert len(small) == 4 and len(large) == 10
@@ -212,6 +211,29 @@ def test_gf_orders_share_their_coefficients(monkeypatch):
     assert family_gf("polyCauchy2", -1, 5).coeffs == s.coeffs
     with pytest.raises(ValueError):
         family_gf("nosuch", 1, 2)
+
+
+def test_first_builds_from_threads_match_one_thread(fresh_caches):
+    # four threads build the same table from cold caches at once; a
+    # concurrent miss may build a row twice, but every thread must get the
+    # rows one thread builds alone
+    start = threading.Barrier(4)
+    got = []
+
+    def build():
+        start.wait()
+        try:
+            got.append(family_gf_t("polyCauchy1", 30))
+        except ArithmeticError as exc:
+            got.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    fresh_caches()
+    assert got == [family_gf_t("polyCauchy1", 30)] * 4
 
 
 def test_gf_limit_reproduces_classical_numbers():
