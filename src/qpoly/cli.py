@@ -21,7 +21,8 @@ from .core import DenominatorVanishes, ParamPoly, eval_numeric
 from .families import FAMILIES, family_t, specialize
 from .identities import report_record, run_gf_sweep, run_identity_sweep
 from .jackson import NonconvergedTruncation, OracleConfig, oracle_family
-from .textform import format_param_poly, latex_param_poly
+from .textform import (_huge_exponent, _print_limit, format_param_poly,
+                       latex_param_poly)
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
 
@@ -54,8 +55,6 @@ OWN_DIGITS_PER_ORDER = 6
 # A --rho/--z decimal exponent this far past the text's length puts a value
 # past the float range (10^308), or below it (10^-324) to round to zero.
 FLOAT_EXPONENT = 400
-# the most digits Python prints of an int; 0 for no limit
-_print_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
@@ -184,20 +183,17 @@ def _get_config(args) -> dict:
 def _point_arg(flag: str, text: str | None,
                numeric: bool) -> Fraction | float | None:
     """An optional --rho/--z value as an exact fraction, or when numeric
-    as its float, correctly rounded as float(text) is. Fraction(text)
-    builds 10^|e| for a decimal exponent e (minutes at e = 10^8); past the
-    text's length plus FLOAT_EXPONENT or the print limit, e alone decides
-    a nonzero value, so it is cut to just past the bound first."""
+    as its float, correctly rounded as float(text) is. A decimal exponent
+    past the text's length plus FLOAT_EXPONENT or the print limit
+    (_huge_exponent) is cut to just past the bound first."""
     if text is None:
         return None
-    head, _, tail = text.replace("E", "e").rpartition("e")
     try:
-        e = int(tail) if head else 0
         limit = FLOAT_EXPONENT if numeric else _print_limit()
-        huge = bool(limit) and abs(e) > len(text) + limit
+        huge = _huge_exponent(text, limit)
         # an exponent just past the bound gives the same float or refusal
-        value = Fraction(text[:len(head) + 1] + "%d" % (
-            (len(text) + limit + 1) * (1 if e > 0 else -1)) if huge else text)
+        value = Fraction("%se%d" % (huge[0], (len(text) + limit + 1) * (
+            1 if huge[1] > 0 else -1)) if huge else text)
         if numeric:
             return float(value)
         if not (huge and value):
@@ -212,7 +208,8 @@ def _point_arg(flag: str, text: str | None,
         raise ValueError("%s %s is not a fraction or decimal"
                          % (flag, text)) from None
     raise ValueError("%s %s would have over %d digits, past the %d that "
-                     "Python prints" % (flag, text, abs(e) - len(text), limit))
+                     "Python prints"
+                     % (flag, text, abs(huge[1]) - len(text), limit))
 
 
 def _digits(i: int) -> int:
@@ -223,10 +220,10 @@ def _digits(i: int) -> int:
 
 def _check_print_size(args, n: int, rho, z) -> None:
     """Refuse an exact --rho/--z at which values up to order n may hold
-    an int longer than Python prints (sys.get_int_max_str_digits()). Such
-    a value is of degree n in rho and z, so its numerator and denominator
-    have at most about n times the digits of the point's, plus the
-    family's own (OWN_DIGITS_PER_ORDER)."""
+    an int longer than Python prints (_print_limit()). Such a value is of
+    degree n in rho and z, so its numerator and denominator have at most
+    about n times the digits of the point's, plus the family's own
+    (OWN_DIGITS_PER_ORDER)."""
     limit = _print_limit()
     given = [(flag, text, v) for flag, text, v in (("--rho", args.rho, rho),
                                                    ("--z", args.z, z))
@@ -234,7 +231,7 @@ def _check_print_size(args, n: int, rho, z) -> None:
     digits = sum(_digits(v.numerator) + _digits(v.denominator)
                  for _, _, v in given)
     size = max(n, 1) * (digits + OWN_DIGITS_PER_ORDER)
-    if given and limit and size > limit:
+    if given and size > limit:
         raise ValueError("%s: values up to n = %d would have about %d "
                          "digits, past the %d that Python prints"
                          % (" ".join("%s %s" % g[:2] for g in given), n,

@@ -71,19 +71,6 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return _exact(Fraction(a, b))
 
 
-def _power(base, e: int, one):
-    """base ** e for e >= 0 by binary square-and-multiply; one is the
-    multiplicative identity of base's ring."""
-    result = one
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 # ---------------------------------------------------------------------------
 # integer primitive-PRS gcd, used by QPoly.gcd. A zero, constant or shorter
 # operand needs no case of its own: one remainder step ends or swaps it.
@@ -209,7 +196,12 @@ class QPoly:
     def __pow__(self, exponent: int) -> "QPoly":
         if exponent < 0:
             raise ValueError("negative power of a QPoly; use QRat")
-        return _power(self, exponent, _QP_ONE)
+        result = self if exponent else _QP_ONE
+        for bit in bin(exponent)[3:]:   # square-and-multiply, high bit first
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def divexact(self, other: "QPoly") -> "QPoly":
         """Quotient of a division that must leave no remainder."""

@@ -8,20 +8,19 @@ EGF product is a binomial convolution, so row n follows from the rows
 below it in integers. Each row, and its t-basis twin divided by n!, is
 cached per (family, n).
 
-TruncSeries and series_compose serve the weighted Stirling columns
-(gf_weighted_stirling) and library callers. Order-N truncation is exact
-because every composition argument has zero constant term, so no
-discarded term can feed back into a kept one.
+The weighted Stirling columns are built the same way. TruncSeries, the
+builders' return type, and series_compose serve library callers.
+Order-N truncation is exact because every composition argument has zero
+constant term, so no discarded term can feed back into a kept one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .core import ParamPoly, _div, _power
+from .core import ParamPoly, _div
 from .families import FAMILIES, specialize
 
 __all__ = [
@@ -35,18 +34,11 @@ __all__ = [
     "gf_poly_cauchy2",
     "gf_weighted_stirling",
     "series_compose",
-    "series_exp",
 ]
 
 
 class NonZeroConstantTerm(ValueError):
-    """Composition or exponential argument has a nonzero constant term."""
-
-
-def _coerce_coeff(c) -> ParamPoly:
-    if isinstance(c, ParamPoly):
-        return c
-    return ParamPoly.const(c)
+    """A composition argument has a nonzero constant term."""
 
 
 class TruncSeries:
@@ -61,7 +53,9 @@ class TruncSeries:
     def __init__(self, coeffs: Sequence) -> None:
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs: tuple[ParamPoly, ...] = tuple(_coerce_coeff(c) for c in coeffs)
+        self.coeffs: tuple[ParamPoly, ...] = tuple(
+            c if isinstance(c, ParamPoly) else ParamPoly.const(c)
+            for c in coeffs)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -76,16 +70,8 @@ class TruncSeries:
             raise IndexError("coefficient beyond truncation order")
         return self.coeffs[i]
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1])
-
     def __repr__(self) -> str:
         return "TruncSeries(order=%d)" % self.order
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -95,15 +81,6 @@ class TruncSeries:
             ParamPoly.sum_of_products((a[i], b[s - i]) for i in range(s + 1))
             for s in range(min(self.order, other.order) + 1)])
 
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        if exponent < 0:
-            raise ValueError("negative series power")
-        return _power(self, exponent, TruncSeries.one(self.order))
-
-    def scale(self, c) -> "TruncSeries":
-        factor = _coerce_coeff(c)
-        return TruncSeries([coeff * factor for coeff in self.coeffs])
-
 
 def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """outer(inner(t)), requiring inner to have zero constant term."""
@@ -111,7 +88,7 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         raise NonZeroConstantTerm("composition argument must vanish at t=0")
     n = min(outer.order, inner.order)
     # powers, not Horner's rule: inner^j starts at t^j and a zero coefficient
-    # adds no product (7x faster than Horner for series_exp at order 12)
+    # adds no product (7x faster than Horner for exp at order 12)
     powers = [TruncSeries.one(n)]
     for _ in range(n):
         powers.append(powers[-1] * inner)
@@ -121,14 +98,6 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
         for s in range(n + 1)])
 
 
-def series_exp(f: TruncSeries) -> TruncSeries:
-    """exp(f) for f with zero constant term (series_compose checks it)."""
-    n = f.order
-    outer = TruncSeries([ParamPoly.const(Fraction(1, factorial(i)))
-                         for i in range(n + 1)])
-    return series_compose(outer, f)
-
-
 def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
     """n! times the t^n coefficient."""
     return series.coefficient(n).scale(factorial(n))
@@ -136,12 +105,6 @@ def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
 
 # ---------------------------------------------------------------------------
 # generating functions
-
-
-def _exp_linear(order: int) -> TruncSeries:
-    """exp(z t): t^n picks z^n / n!."""
-    return TruncSeries([ParamPoly.monomial(Fraction(1, factorial(n)), z=n)
-                        for n in range(order + 1)])
 
 
 def _divexact(p: ParamPoly, d: int) -> ParamPoly:
@@ -190,13 +153,17 @@ def _gf_row(family: str, n: int) -> tuple:
     return tuple(row)
 
 
+def _over(p: ParamPoly, d: int) -> ParamPoly:
+    """p / d for an integer polynomial p, each quotient a Fraction where
+    d does not divide."""
+    return ParamPoly._raw({e: _div(c, d) for e, c in p.terms.items()})
+
+
 @lru_cache(maxsize=None)
 def _gf_t_row(family: str, n: int) -> tuple:
     """The integer row n divided by n!: [t^n] S_j for j <= n."""
     scale = factorial(n)
-    return tuple(ParamPoly._raw({e: _div(c, scale)
-                                 for e, c in a.terms.items()})
-                 for a in _gf_row(family, n))
+    return tuple(_over(a, scale) for a in _gf_row(family, n))
 
 
 def family_gf_t(family: str, order: int) -> tuple:
@@ -245,24 +212,27 @@ def gf_poly_cauchy2(k: int, order: int) -> TruncSeries:
 
 
 def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:
-    """Generating function of one weighted Stirling column, weight in the
-    z slot: e^(x t)(e^t - 1)^m / m! for the second kind and
-    (1-t)^(-x) (-log(1-t))^m / m! for the first."""
+    """Generating function of one weighted Stirling column, weight x in
+    the z slot: e^(x t)(e^t - 1)^m / m! for the second kind and
+    (1-t)^(-x) (-log(1-t))^m / m! for the first, in the EGF basis: column
+    j is column j-1 times the base (EGF coefficients 1 or (i-1)! past t^0)
+    over j, and the front's row n is x^n or x(x+1)...(x+n-1)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if order < m:
         raise ValueError("order must be at least m")
-    if kind == "second":
-        base = TruncSeries([ParamPoly.zero()]
-                           + [ParamPoly.const(Fraction(1, factorial(i)))
-                              for i in range(1, order + 1)])
-        front = _exp_linear(order)
-    elif kind == "first":
-        base = TruncSeries([ParamPoly.zero()]
-                           + [ParamPoly.const(Fraction(1, i))
-                              for i in range(1, order + 1)])
-        front = series_exp(base.scale(ParamPoly.monomial(1, z=1)))
-    else:
+    if kind not in ("first", "second"):
         raise ValueError("kind must be 'first' or 'second'")
-    column = (base ** m).scale(Fraction(1, factorial(m)))
-    return front * column
+    first = kind == "first"
+    base = [factorial(i - 1) if first else 1 for i in range(1, order + 1)]
+    column = [1] + [0] * order
+    for j in range(1, m + 1):     # base[i - 1] is EGF coefficient i
+        column = [sum(comb(n, i) * column[i] * base[n - i - 1]
+                      for i in range(n)) // j for n in range(order + 1)]
+    x, front = ParamPoly.monomial(1, z=1), [ParamPoly.const(1)]
+    for n in range(order):
+        front.append(front[-1] * (x + n if first else x))
+    return TruncSeries([
+        _over(_convolution((comb(n, i) * column[n - i], 0, 0, front[i])
+                           for i in range(n - m + 1)), factorial(n))
+        for n in range(order + 1)])

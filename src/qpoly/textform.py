@@ -13,14 +13,15 @@ The canonical text is deterministic and round-trips exactly:
 
 parse_* also accept non-canonical input and normalize it: q-powers,
 variables and terms in any order or repeated (they add up), coefficients
-in any spelling Fraction(str) reads ("2/4", "3.0", "1e3"), denominators
-that are not monic, and pairs that are not reduced, which QRat cancels
-with the PRS gcd.
+in any spelling Fraction(str) reads ("2/4", "3.0", "1e3"; an exponent
+past the print limit is refused), denominators that are not monic, and
+pairs that are not reduced, which QRat cancels with the PRS gcd.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .core import _EXPONENT_SLOTS, ParamPoly, QPoly, QRat
@@ -43,6 +44,23 @@ _VAR_RE = re.compile(r"\*(rho|z|y)\^([0-9]+)")
 _TERM_SPLIT_RE = re.compile(r" \+ (?=\()")
 
 
+def _print_limit() -> int:
+    """The most digits Python prints of an int; with the limit off (0),
+    its default 4,300, so an exact value stays bounded."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _huge_exponent(text: str, limit: int) -> tuple[str, int] | None:
+    """(head, e) for a decimal "<head>e<e>" with |e| past len(text) + limit,
+    else None: Fraction(text) builds 10^|e|, minutes at e = 10^8."""
+    head, _, tail = text.replace("E", "e").rpartition("e")
+    try:
+        e = int(tail) if head else 0
+    except ValueError:      # not a decimal, which Fraction refuses
+        return None
+    return (head, e) if abs(e) > len(text) + limit else None
+
+
 def format_qpoly(p: QPoly) -> str:
     if p.is_zero():
         return "0"
@@ -59,6 +77,8 @@ def parse_qpoly(text: str) -> QPoly:
             c = int(c)
         except ValueError:
             # "1/2", "3.0" and "1e3" are rationals int() does not read
+            if _huge_exponent(c, _print_limit()):
+                raise ValueError("exponent too large in %r" % c) from None
             c = Fraction(c)
         if exponent == len(out):    # as canonical text has it
             out.append(c)

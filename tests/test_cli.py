@@ -848,20 +848,32 @@ def _timed_main(argv):
     return code
 
 
-@pytest.mark.parametrize("argv, where", [
-    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE),
-    (VALUE_ARGS + ["--n", "3", "--at-q1", "--z=" + TINY], "--z " + TINY),
-    (TABLE_ARGS + ["--at-q1", "--rho=" + TINY], "--rho " + TINY),
-    (TABLE_ARGS + ["--at-q1", "--z", HUGE], "--z " + HUGE),
-], ids=["value-huge", "value-tiny", "table-tiny", "table-huge"])
+@pytest.mark.parametrize("argv, where, limit", [
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE,
+     None),
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--z=" + TINY], "--z " + TINY,
+     None),
+    (TABLE_ARGS + ["--at-q1", "--rho=" + TINY], "--rho " + TINY, None),
+    (TABLE_ARGS + ["--at-q1", "--z", HUGE], "--z " + HUGE, None),
+    # with Python's print limit off, an exact value is held to its default
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE, 0),
+], ids=["value-huge", "value-tiny", "table-tiny", "table-huge",
+        "value-huge-no-limit"])
 def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
-                                                       argv, where):
+                                                       argv, where, limit):
     _refuse_builds(monkeypatch)
-    assert _timed_main(argv) == 2
+    old = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        assert _timed_main(argv) == 2
+    finally:
+        sys.set_int_max_str_digits(old)
     captured = capsys.readouterr()
     assert captured.err.startswith("error: %s would have over 999999" % where)
     assert captured.err.endswith(" digits, past the %d that Python prints\n"
-                                 % sys.get_int_max_str_digits())
+                                 % ((old if limit is None else limit)
+                                    or sys.int_info.default_max_str_digits))
     assert captured.out == ""
 
 

@@ -513,8 +513,8 @@ latex_param_poly latex_qrat oracle_family parse_param_poly parse_qpoly
 poly_bernoulli poly_cauchy1 poly_cauchy1_double_sum poly_cauchy2
 poly_cauchy2_double_sum q_number q_number_power_inverse report_record
 reports_to_json_lines run_gf_sweep run_identity_sweep series_compose
-series_exp specialize stirling1 stirling2 substitute_weight
-weighted_stirling1 weighted_stirling2
+specialize stirling1 stirling2 substitute_weight weighted_stirling1
+weighted_stirling2
 """.split()
 
 

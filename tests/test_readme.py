@@ -1,10 +1,13 @@
 """README's examples hold as printed: the library quick start and every
-`qpoly` command under "Command line"."""
+`qpoly` command under "Command line"; and every name README gives as a
+key layer exists."""
 
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import qpoly
 from qpoly import classical_number
 from qpoly.cli import main
 
@@ -47,3 +50,21 @@ def test_readme_examples_hold(capsys):
         if command.startswith("qpoly table"):
             assert out.splitlines() == _shown_after(lines, i)
             assert len(out.splitlines()) == 4
+
+
+def test_key_layer_names_resolve():
+    # the backticked names before each "Key layers" bullet's colon, with
+    # "x_*" a prefix and "x1/2" both x1 and x2
+    section = README.split("Key layers, all importable from `qpoly`:\n\n",
+                           1)[1].split("\n\n", 1)[0]
+    names = [name for bullet in section.split("\n- ")
+             for name in re.findall(r"`([^`]+)`", bullet.split(":", 1)[0])]
+    assert len(names) > 20
+    exported = dir(qpoly)
+    for name in names:
+        if name.endswith("1/2"):
+            assert {name[:-2], name[:-3] + "2"} <= set(exported), name
+        elif name.endswith("*"):
+            assert any(e.startswith(name[:-1]) for e in exported), name
+        else:
+            assert name in exported, name

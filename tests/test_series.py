@@ -28,7 +28,6 @@ from qpoly import (
     poly_cauchy1,
     poly_cauchy2,
     series_compose,
-    series_exp,
     stirling,
     weighted_stirling1,
     weighted_stirling2,
@@ -46,6 +45,11 @@ def _t_series(order):
     return _const_series([0, 1] + [0] * (order - 1))
 
 
+def _exp(f):
+    """exp(f), composing the oracle's exp(t) with f."""
+    return series_compose(_const_series(O.s_exp_outer(f.order)), f)
+
+
 # --- ring and composition laws ----------------------------------------------
 
 def test_series_basic_arithmetic():
@@ -54,26 +58,25 @@ def test_series_basic_arithmetic():
     prod = a * b
     assert prod.order == 2
     assert prod.coefficient(2) == ParamPoly.const(3)
-    assert a.truncate(1).order == 1
 
 
 def test_exp_log_round_trip():
     # exp(log(1 + t)) = 1 + t, with log(1 + t) taken from the oracle
     log_side = _const_series(O.s_log1p(ORDER))
-    back = series_exp(log_side)
+    back = _exp(log_side)
     assert back.coeffs == _const_series([1, 1] + [0] * (ORDER - 1)).coeffs
 
 
 def test_log_exp_round_trip():
     # log(1 + (e^t - 1)) = t, composing the oracle's log(1 + u) with e^t - 1
     t = _t_series(ORDER)
-    em1 = TruncSeries([ParamPoly.zero()] + list(series_exp(t).coeffs[1:]))
+    em1 = _const_series([0] + O.s_exp_outer(ORDER)[1:])
     back = series_compose(_const_series(O.s_log1p(ORDER)), em1)
-    assert back.coeffs == t.truncate(ORDER).coeffs
+    assert back.coeffs == t.coeffs
 
 
 def test_exp_matches_oracle_series():
-    got = series_exp(_t_series(ORDER))
+    got = _exp(_t_series(ORDER))
     assert got.coeffs == _const_series(O.s_exp_outer(ORDER)).coeffs
 
 
@@ -91,7 +94,8 @@ def test_compose_reads_no_inner_coefficient_past_the_outer_order():
     inner = TruncSeries([0, 1, rho, z, rho * z, 3, z * z, 7])
     got = series_compose(outer, inner)
     assert got.order == 4
-    assert got.coeffs == series_compose(outer, inner.truncate(4)).coeffs
+    short = TruncSeries(inner.coeffs[:5])
+    assert got.coeffs == series_compose(outer, short).coeffs
 
 
 def test_compose_rejects_nonzero_inner_constant():
@@ -99,20 +103,37 @@ def test_compose_rejects_nonzero_inner_constant():
     inner = _const_series([1, 1])
     with pytest.raises(NonZeroConstantTerm):
         series_compose(outer, inner)
-    # exp(f) is a composition, so it refuses the same argument
-    with pytest.raises(NonZeroConstantTerm):
-        series_exp(inner)
 
 
 # --- weighted Stirling columns ----------------------------------------------
 
 def test_gf_columns_match_recurrence_tables():
-    for kind, table in (("first", weighted_stirling1),
-                        ("second", weighted_stirling2)):
+    # against the package's tables and the stdlib oracle's polynomials in
+    # x, which the columns carry in the z slot; below t^m a column is zero
+    for kind, table, oracle in (("first", weighted_stirling1,
+                                 O.weighted_s1_poly),
+                                ("second", weighted_stirling2,
+                                 O.weighted_s2_poly)):
         for m in range(7):
             s = gf_weighted_stirling(kind, m, 6)
+            assert all(s.coefficient(n).is_zero() for n in range(m))
             for n in range(m, 7):
-                assert egf_coefficient(s, n) == table(n, m).as_param_poly()
+                got = egf_coefficient(s, n)
+                assert got == table(n, m).as_param_poly()
+                assert got == ParamPoly({(0, j, 0): c for j, c
+                                         in enumerate(oracle(n, m))})
+
+
+def test_gf_column_text_is_pinned():
+    """The canonical text of every coefficient of the order-12 columns,
+    both kinds, m <= 12."""
+    digest = hashlib.sha256()
+    for kind in ("first", "second"):
+        for m in range(13):
+            for c in gf_weighted_stirling(kind, m, 12).coeffs:
+                digest.update(format_param_poly(c).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "7e0a082d46abb39718c3f9fa0a0a929044c31fab8a815368a60e29e1f85d555c")
 
 
 def test_gf_column_guards():
@@ -137,12 +158,15 @@ def test_gf_equals_closed_form():
 
 def _reference_rows(family, order):
     """n! [t^n] S_j for j <= n <= order, from series products and
-    series_exp: the route the integer rows replace."""
-    def rho_argument(den):
-        # (1 - e^(-rho t))/rho with den = n!, log(1 + rho t)/rho with den = n
+    compositions with exp: the route the integer rows replace."""
+    def rho_argument(den, sign=1):
+        # (1 - e^(-rho t))/rho with den = n!, +-log(1 + rho t)/rho with den = n
         return TruncSeries([0] + [
-            ParamPoly.monomial(F(1 if n % 2 else -1, den(n)), rho=n - 1)
+            ParamPoly.monomial(F(sign if n % 2 else -sign, den(n)), rho=n - 1)
             for n in range(1, order + 1)])
+
+    def scaled(s, c):
+        return TruncSeries([a * c for a in s.coeffs])
 
     if family == "polyBernoulli":
         arg = rho_argument(factorial)
@@ -150,14 +174,13 @@ def _reference_rows(family, order):
                                                 z=n)
                              for n in range(order + 1)])
     else:
-        arg = rho_argument(lambda n: n)
-        arg = arg if family == "polyCauchy1" else -arg
-        power = series_exp(arg.scale(ParamPoly.monomial(-1, z=1)))
+        arg = rho_argument(lambda n: n, 1 if family == "polyCauchy1" else -1)
+        power = _exp(scaled(arg, ParamPoly.monomial(-1, z=1)))
     powers = [power]
     for j in range(1, order + 1):
         power = power * arg
         if family != "polyBernoulli":
-            power = power.scale(F(1, j))
+            power = scaled(power, F(1, j))
         powers.append(power)
     return [tuple(egf_coefficient(s, n) for s in powers[:n + 1])
             for n in range(order + 1)]
@@ -183,7 +206,8 @@ def test_a_row_division_with_a_remainder_raises():
 
 
 def test_integer_rows_read_no_stirling_table(monkeypatch, fresh_caches):
-    # the gf route is independent of the closed forms' tables
+    # the gf route, the weighted columns included, is independent of the
+    # closed forms' tables
     def refuse(*args):
         raise AssertionError("the gf route read a Stirling table")
 
@@ -194,6 +218,8 @@ def test_integer_rows_read_no_stirling_table(monkeypatch, fresh_caches):
                 monkeypatch.setattr(module, name, refuse)
     for family in FAMILIES:
         assert len(family_gf_t(family, 12)) == 13
+    for kind in ("first", "second"):
+        assert gf_weighted_stirling(kind, 3, 6).order == 6
 
 
 def test_gf_orders_share_their_coefficients(fresh_caches):

@@ -1,6 +1,7 @@
 """Canonical text round-trips for the three value kinds."""
 
 import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +82,16 @@ def test_parse_reads_coefficients_as_fraction_does(text):
     got = parse_qpoly(text)
     assert got == want
     assert all(type(c) is int or c.denominator > 1 for c in got.coeffs)
+
+
+@pytest.mark.parametrize("text", ["(1e99999999)/(1)", "(1)/(1e-99999999)"])
+def test_parse_refuses_a_huge_decimal_exponent_at_once(text):
+    # Fraction(text) would build 10^99999999 first, which takes minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent too large"):
+        parse_param_poly(text)
+    assert time.perf_counter() - start < 0.5
+    assert parse_qpoly("1e3") == QPoly([1000])
 
 
 def test_parse_accepts_non_canonical_input():
