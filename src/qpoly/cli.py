@@ -388,6 +388,10 @@ def _cmd_verify(args, out) -> int:
     failed = [r for r in records if r["status"] != "verified"]
     for rec in records:
         out.write(json.dumps(rec) + "\n")
+    if (args.scope in ("identities", "all")
+            and (args.nmax or 0) > cfg["nmax_mixed"]):
+        sys.stderr.write("verify: T7 checked up to n = %d (nmax_mixed)\n"
+                         % cfg["nmax_mixed"])
     if failed:
         sys.stderr.write("verify: %d of %d checks failed; first: %s\n"
                          % (len(failed), len(records), json.dumps(failed[0])))

@@ -14,9 +14,10 @@ n (an lru_cache keyed by n alone) and shared by every k. The verdict at
 proof for every k and q, and a failure's witness is the specialized
 difference.
 
-Every identity t-difference has integer coefficients: the ones with 1/m!
-weights (T6, T7_3, T7_4) are formed times n!, and a failing one is divided
-back by n! before its witness is written.
+Each D_m is homogeneous of degree n - m in (rho, z, y), so it is built as
+a dense int list indexed by its z and y exponents, as WeightedStirling
+stores its coeffs, and becomes a ParamPoly once, when cached. Differences
+with 1/m! weights (T6, T7_3, T7_4) are built times n!, in integers.
 
 Identity labels are stable wire-format tokens; one JSON record is emitted
 per (identity, n, k).
@@ -33,11 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import series
 from .core import ParamPoly
 from .families import FAMILIES, family_t, specialize
-from .stirling import (
-    substitute_weight,
-    weighted_stirling1,
-    weighted_stirling2,
-)
+from .stirling import _dense_weight, weighted_stirling1, weighted_stirling2
 from .textform import format_param_poly
 
 __all__ = [
@@ -102,30 +99,54 @@ def _trim(tvalue) -> tuple[ParamPoly, ...]:
     return tuple(tvalue)
 
 
-def _t_combination(pairs) -> tuple[ParamPoly, ...]:
-    """sum of w * v over (w, v) pairs, w q-free and v in the t-basis."""
-    return tuple(ParamPoly.sum_of_products((w, v[j]) for w, v in pairs
-                                           if j < len(v))
-                 for j in range(max(len(v) for _, v in pairs)))
+def _add_product(acc: list, a, b, c: int = 1, stride: int = 1) -> None:
+    """acc += c * a * b for coefficient lists, a product being their
+    convolution with index i of a read at i * stride; acc grows to fit."""
+    acc.extend([0] * ((len(a) - 1) * stride + len(b) - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            x *= c
+            for j, v in enumerate(b, i * stride):
+                acc[j] += x * v
+
+
+def _dense(rows, n: int) -> tuple[ParamPoly, ...]:
+    """The trimmed t-difference of dense rows: entry j, of degree d = n - j,
+    holds its rho^(d-b-c) z^b y^c term at c*(d+1) + b, a y-free one at b."""
+    return _trim(ParamPoly._raw({(n - j - b - c, b, c): v
+                                 for i, v in enumerate(row) if v
+                                 for c, b in (divmod(i, n - j + 1),)})
+                 for j, row in enumerate(rows))
+
+
+@lru_cache(maxsize=None)
+def _dense_t(family: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """family_t(family, n) as dense rows: index b of entry m is the
+    coefficient of rho^(n-m-b) z^b. A term off that degree is refused."""
+    value = family_t(family, n)
+    for m, p in enumerate(value):
+        if any(y or a + b != n - m for a, b, y in p.terms):
+            raise ValueError("family_t(%r, %d)[%d] has a term off degree %d"
+                             % (family, n, m, n - m))
+    return tuple(tuple(p.terms.get((n - m - b, b, 0), 0)
+                       for b in range(n - m + 1)) for m, p in enumerate(value))
 
 
 @lru_cache(maxsize=None)
 def _inverse_lhs(n: int) -> tuple:
-    """The inverse relations' left sides at n in the t-basis,
-    sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z)."""
-    return tuple(_t_combination([(substitute_weight(table(n, m), sign),
-                                  family_t(family, m))
-                                 for m in range(n + 1)])
-                 for table, sign, family in (
-                     (weighted_stirling1, 1, "polyBernoulli"),
-                     (weighted_stirling2, 1, "polyCauchy1"),
-                     (weighted_stirling2, -1, "polyCauchy2")))
-
-
-def _z_to_y(tvalue) -> tuple[ParamPoly, ...]:
-    """tvalue, free of y, with z renamed to y."""
-    return tuple(ParamPoly._raw({(a, 0, b): c for (a, b, _), c in
-                                 p.terms.items()}) for p in tvalue)
+    """The inverse relations' left sides at n as dense rows,
+    sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z); entry j has degree n - j."""
+    out = []
+    for table, sign, family in ((weighted_stirling1, 1, "polyBernoulli"),
+                                (weighted_stirling2, 1, "polyCauchy1"),
+                                (weighted_stirling2, -1, "polyCauchy2")):
+        rows = [[0] * (n - j + 1) for j in range(n + 1)]
+        for m in range(n + 1):
+            w = _dense_weight(table(n, m), sign)
+            for j, row in enumerate(_dense_t(family, m)):
+                _add_product(rows[j], w, row)
+        out.append(tuple(map(tuple, rows)))
+    return tuple(out)
 
 
 def check_orthogonality(n: int) -> list[IdentityReport]:
@@ -142,16 +163,15 @@ def check_orthogonality(n: int) -> list[IdentityReport]:
             ("ORTHO_1", weighted_stirling2, weighted_stirling1, False),
             ("ORTHO_2", weighted_stirling1, weighted_stirling2, True)):
         witness: str | None = None
-        row = [outer(n, l).as_param_poly() for l in range(n + 1)]
+        row = [outer(n, l).coeffs for l in range(n + 1)]
         for m in range(n + 1):
-            pairs = [(ParamPoly.const(-(m == n)), ParamPoly.const(1))]
+            diff = [-(m == n)]
             for l in range(m, n + 1):
-                sign = (-1) ** (l - m if sign_by_l else n - l)
-                pairs.append((row[l].scale(sign),
-                              inner(l, m).as_param_poly()))
-            diff = ParamPoly.sum_of_products(pairs)
-            if not diff.is_zero():
-                witness = "m=%d: %s" % (m, format_param_poly(diff))
+                _add_product(diff, row[l], inner(l, m).coeffs,
+                             (-1) ** (l - m if sign_by_l else n - l))
+            if any(diff):
+                witness = "m=%d: %s" % (m, format_param_poly(ParamPoly._raw(
+                    {(0, i, 0): c for i, c in enumerate(diff) if c})))
                 break
         status = "verified" if witness is None else "failed"
         out.append(IdentityReport(identity_id, n, None, status, witness))
@@ -176,8 +196,8 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
 
 @lru_cache(maxsize=None)
 def _inverse_t(n: int) -> tuple:
-    # each right side is a multiple of t_n
-    return tuple(_trim(lhs[:n] + (lhs[n] - ParamPoly.const(rhs),))
+    # each right side is a multiple of t_n, a constant in entry n
+    return tuple(_dense(lhs[:n] + ((lhs[n][0] - rhs,),), n)
                  for lhs, rhs in zip(_inverse_lhs(n),
                                      (factorial(n), 1, (-1) ** n)))
 
@@ -210,16 +230,17 @@ def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
 
 @lru_cache(maxsize=None)
 def _reciprocity_t(n: int) -> tuple:
-    # n! times each difference; the m-th weight is -L(n, m) rho^(n-m)
-    sign = ParamPoly.const((-1) ** n)
-    weights = [ParamPoly.monomial(
-        -(comb(n - 1, m - 1) * factorial(n) // factorial(m)), rho=n - m)
-        for m in range(1, n + 1)]
-    return tuple(
-        _trim(_t_combination([(sign, family_t(lhs, n))] + [
-            (w, family_t(rhs, m)) for m, w in enumerate(weights, 1)]))
-        for lhs, rhs in (("polyCauchy1", "polyCauchy2"),
-                         ("polyCauchy2", "polyCauchy1")))
+    # n! times each difference; a weight -L(n, m) rho^(n-m) scales a row
+    out = []
+    for lhs, rhs in (("polyCauchy1", "polyCauchy2"),
+                     ("polyCauchy2", "polyCauchy1")):
+        rows = [[(-1) ** n * c for c in row] for row in _dense_t(lhs, n)]
+        for m in range(1, n + 1):
+            w = -(comb(n - 1, m - 1) * factorial(n) // factorial(m))
+            for j, row in enumerate(_dense_t(rhs, m)):
+                _add_product(rows[j], (w,), row)
+        out.append(_dense(rows, n))
+    return tuple(out)
 
 
 def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
@@ -235,7 +256,7 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
     where S*z, S*y are weighted Stirling polynomials under the weight
     substitution in z or y and a trailing minus marks a negated weight.
     Each inner sum over l is an inverse relation's left side at m (see
-    check_inverse_relations), built once in z and read with z renamed y.
+    check_inverse_relations), built once in z and read as a row in y.
     The last two differences are built times n!, with the integer weights
     n!/m!, so every check runs in integers; a failure's witness is divided
     back by n!.
@@ -249,9 +270,7 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
 
 @lru_cache(maxsize=None)
 def _mixed_t(n: int) -> tuple:
-    # each sum over l is an inverse relation's left side, z renamed to y
-    inner = [[_z_to_y(lhs) for lhs in _inverse_lhs(m)]
-             for m in range(n + 1)]
+    # each sum over l is _inverse_lhs(m), its rows read in y at stride n-j+1
     out = []
     for lhs, table, sign, sign_by_m, cleared, relation in (
             ("polyBernoulli", weighted_stirling2, 1, True, False, 1),
@@ -260,13 +279,14 @@ def _mixed_t(n: int) -> tuple:
             ("polyCauchy2", weighted_stirling1, -1, False, True, 0)):
         # a cleared row is n! times its difference: weights n!/m!, not 1/m!
         scale = factorial(n) if cleared else 1
-        pairs = [(ParamPoly.const(scale), family_t(lhs, n))]  # minus the rhs
+        rows = [[scale * c for c in row] for row in _dense_t(lhs, n)]
         for m in range(n + 1):
             w = scale // factorial(m) if cleared else factorial(m)
             c = -w if (n - m if sign_by_m else n) % 2 == 0 else w
-            pairs.append((substitute_weight(table(n, m), sign).scale(c),
-                          inner[m][relation]))
-        out.append(_trim(_t_combination(pairs)))
+            weight = _dense_weight(table(n, m), sign)
+            for j, inner in enumerate(_inverse_lhs(m)[relation]):
+                _add_product(rows[j], inner, weight, c, n - j + 1)
+        out.append(_dense(rows, n))
     return tuple(out)
 
 

@@ -164,14 +164,15 @@ def substitute_weight(w: WeightedStirling, sign: int) -> ParamPoly:
     sign^i z^i rho^(n-m-i). The degree bound i <= n - m keeps every rho
     exponent nonnegative.
     """
+    return ParamPoly._raw({(w.n - w.m - i, i, 0): c for i, c
+                           in enumerate(_dense_weight(w, sign)) if c})
+
+
+def _dense_weight(w: WeightedStirling, sign: int) -> tuple[int, ...]:
+    """substitute_weight(w, sign) as the tuple of its z coefficients."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    gap = w.n - w.m
-    terms = {}
-    for i, c in enumerate(w.coeffs):
-        if not c:
-            continue
-        if i > gap:
-            raise ValueError("weight degree exceeds n - m")
-        terms[gap - i, i, 0] = c if sign == 1 or i % 2 == 0 else -c
-    return ParamPoly._raw(terms)
+    if w.coeffs and len(w.coeffs) > w.n - w.m + 1:
+        raise ValueError("weight degree exceeds n - m")
+    return w.coeffs if sign == 1 else tuple(
+        -c if i % 2 else c for i, c in enumerate(w.coeffs))

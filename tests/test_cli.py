@@ -437,6 +437,27 @@ def test_verify_identities_scope(capsys):
     assert recs and all(r["status"] == "verified" for r in recs)
 
 
+def test_verify_says_when_nmax_leaves_t7_behind(capsys):
+    # --nmax raises the identity bound but not nmax_mixed (8), so T7 stops
+    # short of it; one stderr line says so, and stdout carries no note
+    code = main(["verify", "--scope", "identities", "--nmax", "9",
+                 "--k", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    recs = [json.loads(line) for line in captured.out.splitlines()]
+    assert max(r["n"] for r in recs if r["identity"].startswith("T7")) == 8
+    assert captured.err.splitlines() == [
+        "verify: T7 checked up to n = 8 (nmax_mixed)",
+        "verify: %d checks passed" % len(recs)]
+    # no note at the defaults, at --nmax 8, or outside the identity scope
+    for argv in (["verify", "--scope", "identities"],
+                 ["verify", "--scope", "identities", "--nmax", "8",
+                  "--k", "0"],
+                 ["verify", "--scope", "gf", "--nmax", "9", "--k", "0"]):
+        assert main(argv) == 0
+        assert "T7" not in capsys.readouterr().err
+
+
 def test_verify_gf_scope_deterministic(capsys):
     args = ("verify", "--scope", "gf", "--nmax", "4", "--k=-1,1")
     code1, out1 = run_cli(capsys, *args)

@@ -160,10 +160,25 @@ def test_degrees():
             assert v.degree_in("y") == 0
 
 
+def test_kaneko_duality_at_q1():
+    # B_n^(-k) = B_k^(-n) (M. Kaneko, J. Theor. Nombres Bordeaux 9, 1997)
+    # anchors q = 1 only: the q-analog breaks it already at n = 3, k = 2
+    for n in range(9):
+        for k in range(9):
+            assert classical_number("polyBernoulli", n, -k) == \
+                classical_number("polyBernoulli", k, -n), (n, k)
+    at_rho1_z0 = [poly_bernoulli(a, b).substitute(rho=1, z=0)
+                  for a, b in ((3, -2), (2, -3))]
+    assert at_rho1_z0[0] != at_rho1_z0[1]
+
+
 def test_renaming_z_to_y_moves_the_weight():
-    # the T7 inner sums read the z-built values this way
+    # the T7 inner sums read the z-built dense rows as rows in y: entry j
+    # holds its y^c term at index c*(n-j+1)
     for fam in FAMILIES:
-        v = specialize(identities._z_to_y(family_t(fam, 3)), 1)
+        rows = [[x for c in row for x in (c,) + (0,) * (3 - j)]
+                for j, row in enumerate(identities._dense_t(fam, 3))]
+        v = specialize(identities._dense(rows, 3), 1)
         assert v.degree_in("y") == 3
         assert v.degree_in("z") == 0
         base = family_value(fam, 3, 1)

@@ -1,11 +1,14 @@
 """Identity battery: orthogonality, inversion, reciprocity, mixed sums."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
+import oracles as O
 import qpoly.identities as identities
 from conftest import use_fresh_caches
 from qpoly import (
@@ -177,24 +180,18 @@ def test_rescaled_t7_witnesses_are_the_differences(monkeypatch,
 
 
 def test_every_t_difference_is_built_in_integers(monkeypatch, fresh_caches):
-    # a verified difference is empty, so the scalars are also checked
-    # where they enter (each weight and value _t_combination sums) and
-    # the differences are made nonzero by a planted fault
-    true_combination = identities._t_combination
-    scalars = []
-
-    def watched(pairs):
-        pairs = list(pairs)
-        scalars.extend(c for w, v in pairs for p in (w,) + tuple(v)
-                       for c in p.terms.values())
-        return true_combination(pairs)
-
-    monkeypatch.setattr(identities, "_t_combination", watched)
+    # a verified difference is empty, so the dense rows the bodies build
+    # from are checked too, and the differences are made nonzero by a
+    # planted fault
     _perturb_cauchy2(monkeypatch)
+    scalars = [c for fam in ("polyBernoulli", "polyCauchy1", "polyCauchy2")
+               for n in range(11) for row in identities._dense_t(fam, n)
+               for c in row]
+    scalars += [c for n in range(11) for lhs in identities._inverse_lhs(n)
+                for row in lhs for c in row]
     for body, ns in ((identities._inverse_t, range(11)),
                      (identities._reciprocity_t, range(1, 11)),
-                     (identities._mixed_t, range(9)),
-                     (identities._inverse_lhs, range(11))):
+                     (identities._mixed_t, range(9))):
         out = [c for n in ns for row in body(n)
                for p in row for c in p.terms.values()]
         assert out, body.__name__
@@ -280,3 +277,73 @@ def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys, fresh_caches):
     failed = [json.loads(line) for line in captured.out.splitlines()
               if json.loads(line)["status"] == "failed"]
     assert failed and all(r["witness"] for r in failed)
+
+
+def test_a_planted_stirling_fault_fails_the_same_records_at_scale(
+        monkeypatch, capsys, fresh_caches):
+    # S1(6, 3, x) with its constant coefficient bumped by 1 fails 27
+    # records across ORTHO_1, ORTHO_2, T5_201, T7_3 and T7_4; the whole
+    # stdout, witnesses included, is pinned
+    true_entry = identities.weighted_stirling1
+
+    def bumped(n, m):
+        w = true_entry(n, m)
+        if (n, m) != (6, 3):
+            return w
+        return WeightedStirling(n, m, w.kind,
+                                (w.coeffs[0] + 1,) + w.coeffs[1:])
+
+    monkeypatch.setattr(identities, "weighted_stirling1", bumped)
+    code = main(["verify", "--scope", "identities", "--nmax", "10",
+                 "--k=-1,1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    failed = [json.loads(line) for line in out.splitlines()
+              if json.loads(line)["status"] == "failed"]
+    assert len(failed) == 27
+    assert {r["identity"] for r in failed} == {
+        "ORTHO_1", "ORTHO_2", "T5_201", "T7_3", "T7_4"}
+    assert len(out.encode()) == 31905
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9338b8ea3b35f0e0e02fed717589ab00f3f3840ac88064c3368f7c433eed34c9")
+
+
+def test_a_term_off_its_degree_is_refused_not_dropped(monkeypatch,
+                                                      fresh_caches):
+    # P_{3,1} has degree 2 in (rho, z); a rho^5 term planted there cannot
+    # be read as a dense row entry, so the check refuses it by name
+    true_value = identities.family_t
+
+    def planted(family, n):
+        value = true_value(family, n)
+        if (family, n) != ("polyCauchy2", 3):
+            return value
+        return (value[:1] + (value[1] + ParamPoly.monomial(1, rho=5),)
+                + value[2:])
+
+    monkeypatch.setattr(identities, "family_t", planted)
+    with pytest.raises(ValueError, match=r"family_t\('polyCauchy2', 3\)\[1\]"):
+        check_inverse_relations(3, 1)
+
+
+def _homogenized(coeffs, degree):
+    """rho^degree p(z/rho) for p with the given coefficients in x."""
+    return ParamPoly({(degree - i, i, 0): c for i, c in enumerate(coeffs)})
+
+
+def test_t5_201_left_side_is_the_ortho_2_row_sum():
+    # B_m = sum_j t_j j! (-rho)^(m-j) S2(m, j, z/rho), so T5_201's left
+    # side at t_j is j! rho^(n-j) sum_l (-1)^(l-j) S1(n, l, x) S2(l, j, x)
+    # at x = z/rho: ORTHO_2's row sum at (n, j) without its delta, here
+    # built from the stdlib oracle's Stirling polynomials
+    for n in range(11):
+        lhs = identities._inverse_lhs(n)[0]
+        for j in range(n + 1):
+            rhs = ParamPoly.zero()
+            for l in range(j, n + 1):
+                rhs = rhs + (_homogenized(O.weighted_s1_poly(n, l), n - l)
+                             * _homogenized(O.weighted_s2_poly(l, j), l - j)
+                             ).scale((-1) ** (l - j) * factorial(j))
+            got = ParamPoly({(n - j - b, b, 0): c
+                             for b, c in enumerate(lhs[j])})
+            assert got == rhs, (n, j)
