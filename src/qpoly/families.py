@@ -8,10 +8,14 @@ functions of q, built from weighted Stirling sums:
     cauchy 2   g_n(z) = (-1)^n sum_m S1(n, m, -z/rho) rho^(n-m) / [m+1]_q^k
 
 k may be any integer. q and k enter only through the scalars
-t_m = [m+1]_q^(-k), so `family_t` builds each value once in the t-basis,
-as q-free polynomials P_{n,m}(rho, z) with value sum_m t_m P_{n,m}, and
-`specialize` binds the t_m at one k. A relation linear in the family
-values that holds with the t_m formal holds for every k and q.
+t_m = [m+1]_q^(-k), so each value is built once in the t-basis, as q-free
+polynomials P_{n,m}(rho, z) with value sum_m t_m P_{n,m}, and `specialize`
+binds the t_m at one k. A relation linear in the family values that holds
+with the t_m formal holds for every k and q.
+
+P_{n,m} has degree n - m in (rho, z), so `_t_rows` holds it as a dense
+row of ints. The identities and the gf rows work on such rows, with one
+kernel, `_add_product`; `family_t` is their ParamPoly view (`_from_rows`).
 
 The first-kind Cauchy family also admits a double sum over unweighted
 first-kind numbers, kept here as an independent cross-check path; likewise
@@ -28,8 +32,8 @@ from typing import Sequence
 from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact,
                    q_number_power_inverse)
 from .stirling import (
+    _dense_weight,
     stirling1,
-    substitute_weight,
     weighted_stirling1,
     weighted_stirling2,
 )
@@ -51,9 +55,10 @@ FAMILIES = ("polyBernoulli", "polyCauchy1", "polyCauchy2")
 
 
 @lru_cache(maxsize=None)
-def family_t(family: str, n: int) -> tuple[ParamPoly, ...]:
-    """The family's value at order n in the t-basis: P_{n,m}(rho, z) is
-    the m-th term of its closed form without the 1/[m+1]_q^k."""
+def _t_rows(family: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The q-free layer's one form: entry m is P_{n,m}(rho, z) as a dense
+    row of n - m + 1 ints, index b the coefficient of rho^(n-m-b) z^b,
+    built straight from the Stirling table."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % family)
     if n < 0:
@@ -65,9 +70,37 @@ def family_t(family: str, n: int) -> tuple[ParamPoly, ...]:
         c = factorial(m) if bernoulli else 1
         if (n if second else n - m) % 2:
             c = -c
-        out.append(substitute_weight(table(n, m),
-                                     -1 if second else 1).scale(c))
+        # the weight's length check keeps the row at n - m + 1 entries
+        w = _dense_weight(table(n, m), -1 if second else 1)
+        out.append(tuple(c * x for x in w) + (0,) * (n - m + 1 - len(w)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def family_t(family: str, n: int) -> tuple[ParamPoly, ...]:
+    """The family's value at order n in the t-basis: P_{n,m}(rho, z) is
+    the m-th term of its closed form without the 1/[m+1]_q^k."""
+    return _from_rows(_t_rows(family, n), n)
+
+
+def _from_rows(rows, n: int) -> tuple[ParamPoly, ...]:
+    """Dense rows as ParamPolys: entry j, of degree d = n - j, holds its
+    rho^(d-b-c) z^b y^c term at c*(d+1) + b, a y-free one at b."""
+    return tuple(ParamPoly._raw({(n - j - b - c, b, c): v
+                                 for i, v in enumerate(row) if v
+                                 for c, b in (divmod(i, n - j + 1),)})
+                 for j, row in enumerate(rows))
+
+
+def _add_product(acc: list, a, b, c: int = 1, stride: int = 1) -> None:
+    """acc += c * a * b for coefficient lists, a product being their
+    convolution with index i of a read at i * stride; acc grows to fit."""
+    acc.extend([0] * ((len(a) - 1) * stride + len(b) - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            x *= c
+            for j, v in enumerate(b, i * stride):
+                acc[j] += x * v
 
 
 def specialize(tvalue: Sequence[ParamPoly], k: int) -> ParamPoly:

@@ -15,8 +15,8 @@ proof for every k and q, and a failure's witness is the specialized
 difference.
 
 Each D_m is homogeneous of degree n - m in (rho, z, y), so it is built as
-a dense int list indexed by its z and y exponents, as WeightedStirling
-stores its coeffs, and becomes a ParamPoly once, when cached. Differences
+a dense int row indexed by its z and y exponents, from the family rows of
+families._t_rows, and becomes a ParamPoly once, when cached. Differences
 with 1/m! weights (T6, T7_3, T7_4) are built times n!, in integers.
 
 Identity labels are stable wire-format tokens; one JSON record is emitted
@@ -33,7 +33,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import series
 from .core import ParamPoly
-from .families import FAMILIES, family_t, specialize
+from .families import (FAMILIES, _add_product, _from_rows, _t_rows,
+                       specialize)
 from .stirling import _dense_weight, weighted_stirling1, weighted_stirling2
 from .textform import format_param_poly
 
@@ -89,47 +90,13 @@ def _verdicts(ids: Sequence[str], n: int, k: int, body,
             for i, d, s in zip(ids, body(n), scales)]
 
 
-def _trim(tvalue) -> tuple[ParamPoly, ...]:
-    """tvalue without its trailing zero entries, so a zero value is ();
-    every t-difference is trimmed, which makes a verified one cheap to
-    judge."""
-    tvalue = list(tvalue)
-    while tvalue and tvalue[-1].is_zero():
-        tvalue.pop()
-    return tuple(tvalue)
-
-
-def _add_product(acc: list, a, b, c: int = 1, stride: int = 1) -> None:
-    """acc += c * a * b for coefficient lists, a product being their
-    convolution with index i of a read at i * stride; acc grows to fit."""
-    acc.extend([0] * ((len(a) - 1) * stride + len(b) - len(acc)))
-    for i, x in enumerate(a):
-        if x:
-            x *= c
-            for j, v in enumerate(b, i * stride):
-                acc[j] += x * v
-
-
 def _dense(rows, n: int) -> tuple[ParamPoly, ...]:
-    """The trimmed t-difference of dense rows: entry j, of degree d = n - j,
-    holds its rho^(d-b-c) z^b y^c term at c*(d+1) + b, a y-free one at b."""
-    return _trim(ParamPoly._raw({(n - j - b - c, b, c): v
-                                 for i, v in enumerate(row) if v
-                                 for c, b in (divmod(i, n - j + 1),)})
-                 for j, row in enumerate(rows))
-
-
-@lru_cache(maxsize=None)
-def _dense_t(family: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """family_t(family, n) as dense rows: index b of entry m is the
-    coefficient of rho^(n-m-b) z^b. A term off that degree is refused."""
-    value = family_t(family, n)
-    for m, p in enumerate(value):
-        if any(y or a + b != n - m for a, b, y in p.terms):
-            raise ValueError("family_t(%r, %d)[%d] has a term off degree %d"
-                             % (family, n, m, n - m))
-    return tuple(tuple(p.terms.get((n - m - b, b, 0), 0)
-                       for b in range(n - m + 1)) for m, p in enumerate(value))
+    """The t-difference of dense rows, as _from_rows reads them, without
+    its trailing zero entries, so a zero one is (); every t-difference is
+    trimmed, which makes a verified one cheap to judge."""
+    while rows and not any(rows[-1]):
+        rows = rows[:-1]
+    return _from_rows(rows, n)
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +110,7 @@ def _inverse_lhs(n: int) -> tuple:
         rows = [[0] * (n - j + 1) for j in range(n + 1)]
         for m in range(n + 1):
             w = _dense_weight(table(n, m), sign)
-            for j, row in enumerate(_dense_t(family, m)):
+            for j, row in enumerate(_t_rows(family, m)):
                 _add_product(rows[j], w, row)
         out.append(tuple(map(tuple, rows)))
     return tuple(out)
@@ -234,10 +201,10 @@ def _reciprocity_t(n: int) -> tuple:
     out = []
     for lhs, rhs in (("polyCauchy1", "polyCauchy2"),
                      ("polyCauchy2", "polyCauchy1")):
-        rows = [[(-1) ** n * c for c in row] for row in _dense_t(lhs, n)]
+        rows = [[(-1) ** n * c for c in row] for row in _t_rows(lhs, n)]
         for m in range(1, n + 1):
             w = -(comb(n - 1, m - 1) * factorial(n) // factorial(m))
-            for j, row in enumerate(_dense_t(rhs, m)):
+            for j, row in enumerate(_t_rows(rhs, m)):
                 _add_product(rows[j], (w,), row)
         out.append(_dense(rows, n))
     return tuple(out)
@@ -279,7 +246,7 @@ def _mixed_t(n: int) -> tuple:
             ("polyCauchy2", weighted_stirling1, -1, False, True, 0)):
         # a cleared row is n! times its difference: weights n!/m!, not 1/m!
         scale = factorial(n) if cleared else 1
-        rows = [[scale * c for c in row] for row in _dense_t(lhs, n)]
+        rows = [[scale * c for c in row] for row in _t_rows(lhs, n)]
         for m in range(n + 1):
             w = scale // factorial(m) if cleared else factorial(m)
             c = -w if (n - m if sign_by_m else n) % 2 == 0 else w
@@ -316,8 +283,11 @@ def run_gf_sweep(nmax: int, k_values: Sequence[int]) -> list[IdentityReport]:
     reports = []
     for family in FAMILIES:
         for n in range(nmax + 1):
-            diff = _trim(a - p for a, p in zip(series._gf_row(family, n),
-                                               family_t(family, n)))
+            # strict: a row of the wrong length fails loudly, not as a pass
+            diff = _dense([[a - p for a, p in zip(ra, rp, strict=True)]
+                           for ra, rp in zip(series._gf_row(family, n),
+                                             _t_rows(family, n),
+                                             strict=True)], n)
             reports.extend(_verdict("GF_" + family, n, k, diff, 1)
                            for k in k_values)
     return reports

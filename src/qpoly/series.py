@@ -4,9 +4,10 @@ This is the second, independent computation path for the families: their
 exponential generating functions are expanded here with exact arithmetic
 and compared coefficient by coefficient against the closed forms. They
 are built in the EGF basis, as integer rows A_{n,j} = n! [t^n] S_j: an
-EGF product is a binomial convolution, so row n follows from the rows
-below it in integers. Each row, and its t-basis twin divided by n!, is
-cached per (family, n).
+EGF product is a binomial convolution (L. Comtet, Advanced Combinatorics,
+1974, ch. 3), so row n follows from the rows below it in integers. A_{n,j}
+has degree n - j in (rho, z), a dense row as in families._t_rows. Each
+row, and its t-basis twin divided by n!, is cached per (family, n).
 
 The weighted Stirling columns are built the same way. TruncSeries, the
 builders' return type, and series_compose serve library callers.
@@ -21,7 +22,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .core import ParamPoly, _div
-from .families import FAMILIES, specialize
+from .families import FAMILIES, _add_product, _from_rows, specialize
 
 __all__ = [
     "NonZeroConstantTerm",
@@ -107,63 +108,52 @@ def egf_coefficient(series: TruncSeries, n: int) -> ParamPoly:
 # generating functions
 
 
-def _divexact(p: ParamPoly, d: int) -> ParamPoly:
-    """p / d for an integer polynomial p that d divides term by term."""
-    terms = {}
-    for e, c in p.terms.items():
-        terms[e], rem = divmod(c, d)
-        if rem:
-            raise ArithmeticError("%r is not divisible by %d" % (p, d))
-    return ParamPoly._raw(terms)
-
-
-def _convolution(parts) -> ParamPoly:
-    """sum of c rho^r z^s p over the (c, r, s, p) parts, in one pass."""
-    return ParamPoly._collect(((e[0] + r, e[1] + s, e[2]), c * x)
-                              for c, r, s, p in parts
-                              for e, x in p.terms.items())
+def _divexact(row: list, d: int) -> list:
+    """row / d for an integer row that d divides entry by entry."""
+    if any(c % d for c in row):
+        raise ArithmeticError("%r is not divisible by %d" % (row, d))
+    return [c // d for c in row]
 
 
 @lru_cache(maxsize=None)
 def _gf_row(family: str, n: int) -> tuple:
     """The integer EGF row n, A_{n,j} = n! [t^n] S_j for j <= n, from the
-    cached rows below it by binomial convolutions. S_j is S_{j-1} times
-    the series with A_m = weight[m] rho^(m-1): w = (1 - e^(-rho t))/rho
-    for the Bernoulli type, v = +-log(1 + rho t)/rho over j for the Cauchy
-    types. Rows are read in ascending order, so each is cached before the
-    next reads it and the recursion is two calls deep at any n."""
+    cached rows below it by binomial convolutions; in its dense row a rho
+    power moves no index and a factor z moves each up by one. S_j is
+    S_{j-1} times the series with A_m = weight[m] rho^(m-1): w = (1 -
+    e^(-rho t))/rho for the Bernoulli type, v = +-log(1 + rho t)/rho over j
+    for the Cauchy types. Rows are read in ascending order, so each is
+    cached before the next reads it and the recursion is two calls deep."""
     rows = [_gf_row(family, i) for i in range(n)]
     if family == "polyBernoulli":
         weight = [1 if m % 2 else -1 for m in range(n + 1)]
-        row = [ParamPoly.monomial(-1 if n % 2 else 1, z=n)]   # e^(-z t)
+        head = [0] * n + [-1 if n % 2 else 1]   # e^(-z t)
     else:
         sign = 1 if family == "polyCauchy1" else -1
         weight = [(sign if m % 2 else -sign) * factorial(m - 1) if m else 0
                   for m in range(n + 1)]
         # E = exp(-z v) has E' = -z v' E, and v' has the EGF coefficients
         # A_{m+1}(v), so row n of E convolves the rows below it
-        row = [_convolution((-comb(n - 1, i) * weight[i + 1], i, 1,
-                             rows[n - 1 - i][0]) for i in range(n))
-               if n else ParamPoly.const(1)]
+        head = [0] * (n + 1) if n else [1]
+        for i in range(n):
+            _add_product(head, (0, 1), rows[n - 1 - i][0],
+                         -comb(n - 1, i) * weight[i + 1])
+    out = [tuple(head)]
     for j in range(1, n + 1):
         # S_{j-1} starts at t^(j-1), w and v at t^1
-        a = _convolution((comb(n, i) * weight[n - i], n - i - 1, 0,
-                          rows[i][j - 1]) for i in range(j - 1, n))
-        row.append(a if family == "polyBernoulli" else _divexact(a, j))
-    return tuple(row)
-
-
-def _over(p: ParamPoly, d: int) -> ParamPoly:
-    """p / d for an integer polynomial p, each quotient a Fraction where
-    d does not divide."""
-    return ParamPoly._raw({e: _div(c, d) for e, c in p.terms.items()})
+        a = [0] * (n - j + 1)
+        for i in range(j - 1, n):
+            _add_product(a, (1,), rows[i][j - 1], comb(n, i) * weight[n - i])
+        out.append(tuple(a if family == "polyBernoulli" else _divexact(a, j)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _gf_t_row(family: str, n: int) -> tuple:
     """The integer row n divided by n!: [t^n] S_j for j <= n."""
     scale = factorial(n)
-    return tuple(_over(a, scale) for a in _gf_row(family, n))
+    return _from_rows([[_div(c, scale) for c in a]
+                       for a in _gf_row(family, n)], n)
 
 
 def family_gf_t(family: str, order: int) -> tuple:
@@ -229,10 +219,15 @@ def gf_weighted_stirling(kind: str, m: int, order: int) -> TruncSeries:
     for j in range(1, m + 1):     # base[i - 1] is EGF coefficient i
         column = [sum(comb(n, i) * column[i] * base[n - i - 1]
                       for i in range(n)) // j for n in range(order + 1)]
-    x, front = ParamPoly.monomial(1, z=1), [ParamPoly.const(1)]
+    front = [[1]]                 # int lists in x, ascending
     for n in range(order):
-        front.append(front[-1] * (x + n if first else x))
-    return TruncSeries([
-        _over(_convolution((comb(n, i) * column[n - i], 0, 0, front[i])
-                           for i in range(n - m + 1)), factorial(n))
-        for n in range(order + 1)])
+        front.append([])
+        _add_product(front[-1], (n if first else 0, 1), front[-2])
+    coeffs = []
+    for n in range(order + 1):
+        acc, scale = [], factorial(n)
+        for i in range(n - m + 1):
+            _add_product(acc, (comb(n, i) * column[n - i],), front[i])
+        coeffs.append(ParamPoly._raw({(0, b, 0): _div(c, scale)
+                                      for b, c in enumerate(acc) if c}))
+    return TruncSeries(coeffs)

@@ -21,8 +21,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # the lru_caches keyed by n (and family) alone, which a rebound name they
 # read would otherwise not reach
 CACHED_TABLES = (
-    (identities, ("_dense_t", "_inverse_lhs", "_inverse_t", "_reciprocity_t",
-                  "_mixed_t")),
+    (identities, ("_inverse_lhs", "_inverse_t", "_reciprocity_t", "_mixed_t")),
     (series, ("_gf_row", "_gf_t_row")),
 )
 

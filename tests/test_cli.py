@@ -12,9 +12,9 @@ from fractions import Fraction as F
 import pytest
 
 from qpoly import (
-    ParamPoly,
     QPoly,
     QRat,
+    WeightedStirling,
     eval_numeric,
     families,
     identities,
@@ -207,22 +207,66 @@ def test_verify_stdout_is_pinned(capsys, scope):
 
 
 # the same at full scale, the configured defaults: series order 12, n <= 10
-# (mixed n <= 8) for the identities, k in -2..3
+# (mixed n <= 8) for the identities, k in -2..3; and the gf rows at order
+# 30, 2.5 times the default
 PINNED_VERIFY_FULL = {
-    "gf": ("da4ab9be7e0f0d1f4f73a1564f05f78f626b71c68f10eafe674ef0ba0c1edd58",
+    "gf": (["--scope", "gf"],
+           "da4ab9be7e0f0d1f4f73a1564f05f78f626b71c68f10eafe674ef0ba0c1edd58",
            234),
     "identities": (
+        ["--scope", "identities"],
         "fa148fee1242d64b5e41140f5f4de4f910d4360b18de82c96dc4e050e64167f4",
         556),
+    "gf-order-30": (
+        ["--scope", "gf", "--nmax", "30", "--k=-1,1"],
+        "3619c0d020b670e8637c0271ce0e6d230408e96f5611c3aec32c39a22ce997bb",
+        279),
 }
 
 
-@pytest.mark.parametrize("scope", sorted(PINNED_VERIFY_FULL))
-def test_full_verify_stdout_is_pinned(capsys, scope):
-    code, out = run_cli(capsys, "verify", "--scope", scope)
+@pytest.mark.parametrize("run", sorted(PINNED_VERIFY_FULL))
+def test_full_verify_stdout_is_pinned(capsys, run):
+    argv, digest, lines = PINNED_VERIFY_FULL[run]
+    code, out = run_cli(capsys, "verify", *argv)
     assert code == 0
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert (digest, out.count("\n")) == PINNED_VERIFY_FULL[scope]
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            out.count("\n")) == (digest, lines)
+
+
+def test_a_planted_closed_form_fault_fails_the_same_records(
+        monkeypatch, capsys, fresh_caches):
+    # S1(6, 3, x) with its constant coefficient bumped by 1, read by the
+    # closed forms alone: the gf route and the identities' own weights keep
+    # the true table, so 90 records fail across the Cauchy-type gf matches,
+    # T5_202/203, T6 and T7_1-4; the whole stdout, witnesses included, is
+    # pinned
+    true_entry = families.weighted_stirling1
+
+    def bumped(n, m):
+        w = true_entry(n, m)
+        if (n, m) != (6, 3):
+            return w
+        return WeightedStirling(n, m, w.kind,
+                                (w.coeffs[0] + 1,) + w.coeffs[1:])
+
+    families.family_t.cache_clear()
+    families._t_rows.cache_clear()
+    monkeypatch.setattr(families, "weighted_stirling1", bumped)
+    try:
+        code, out = run_cli(capsys, "verify", "--nmax", "10", "--k=-1,1")
+    finally:
+        families.family_t.cache_clear()
+        families._t_rows.cache_clear()
+    assert code == 1
+    failed = [json.loads(line) for line in out.splitlines()
+              if json.loads(line)["status"] == "failed"]
+    assert len(failed) == 90
+    assert {r["identity"] for r in failed} == {
+        "GF_polyCauchy1", "GF_polyCauchy2", "T5_202", "T5_203", "T6_301",
+        "T6_302", "T7_1", "T7_2", "T7_3", "T7_4"}
+    assert len(out.encode()) == 77684
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3528fbb05ff05c1db1fdaba97038469d774c370c6d20192e14727507e903e01")
 
 
 def test_verify_gf_works_in_the_t_basis(monkeypatch, capsys):
@@ -251,6 +295,7 @@ def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, fresh_caches,
         raise AssertionError("verification entered the q-kernel")
 
     families.family_t.cache_clear()
+    families._t_rows.cache_clear()
     monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
     for name in ("__init__", "__mul__", "__add__"):
         monkeypatch.setattr(QRat, name, refuse)
@@ -370,9 +415,10 @@ def test_csv_rows_are_what_csv_writer_writes(capsys, table):
 def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys,
                                                    fresh_caches):
     # z^n on the t_0 component of each integer row n! [t^n] S_j adds z^n to
-    # the n-th family value of the series at every k, since t_0 = 1
+    # the n-th family value of the series at every k, since t_0 = 1; z^n
+    # is index n of entry 0
     true_row = series._gf_row
-    planted = {n: (a[0] + ParamPoly.monomial(1, z=n),) + a[1:]
+    planted = {n: (a[0][:n] + (a[0][n] + 1,),) + a[1:]
                for n, a in enumerate(true_row("polyCauchy2", n)
                                      for n in range(4))}
     monkeypatch.setattr(series, "_gf_row", lambda family, n: (
@@ -386,17 +432,17 @@ def test_verify_gf_fails_on_a_planted_series_fault(monkeypatch, capsys,
 
 
 def test_verify_gf_failure_carries_its_witness(monkeypatch, capsys):
-    # z^2 on the t_0 component of P_{2,m} adds z^2 to the value c_2 at every
-    # k, so n! [t^2] S_j - P_{2,j} specializes to -z^2
-    true_value = identities.family_t
+    # z^2 on the t_0 component of P_{2,m}, index 2 of its row, adds z^2 to
+    # the value c_2 at every k, so n! [t^2] S_j - P_{2,j} specializes to -z^2
+    true_rows = identities._t_rows
 
     def perturbed(family, n):
-        value = true_value(family, n)
+        rows = true_rows(family, n)
         if (family, n) != ("polyCauchy1", 2):
-            return value
-        return (value[0] + ParamPoly.monomial(1, z=2),) + value[1:]
+            return rows
+        return (rows[0][:2] + (rows[0][2] + 1,),) + rows[1:]
 
-    monkeypatch.setattr(identities, "family_t", perturbed)
+    monkeypatch.setattr(identities, "_t_rows", perturbed)
     code, out = run_cli(capsys, "verify", "--scope", "gf", "--nmax", "3",
                         "--k", "0,1")
     assert code == 1

@@ -177,7 +177,7 @@ def test_renaming_z_to_y_moves_the_weight():
     # holds its y^c term at index c*(n-j+1)
     for fam in FAMILIES:
         rows = [[x for c in row for x in (c,) + (0,) * (3 - j)]
-                for j, row in enumerate(identities._dense_t(fam, 3))]
+                for j, row in enumerate(identities._t_rows(fam, 3))]
         v = specialize(identities._dense(rows, 3), 1)
         assert v.degree_in("y") == 3
         assert v.degree_in("z") == 0

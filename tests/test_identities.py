@@ -10,6 +10,7 @@ import pytest
 
 import oracles as O
 import qpoly.identities as identities
+import qpoly.series as series
 from conftest import use_fresh_caches
 from qpoly import (
     IDENTITY_IDS,
@@ -26,6 +27,7 @@ from qpoly import (
     poly_cauchy2,
     parse_param_poly,
     reports_to_json_lines,
+    run_gf_sweep,
     run_identity_sweep,
 )
 from qpoly.cli import main
@@ -124,17 +126,18 @@ def test_json_lines_carry_failure_witness():
 
 def _perturb_cauchy2(monkeypatch):
     """Make the identities see g_n(z) + z^n in place of g_n(z). The checks
-    read each family in the t-basis through identities.family_t; t_0 = 1
-    at every k, so adding z^n to the t_0 component adds z^n to the value."""
-    true_value = identities.family_t
+    read each family in the t-basis as dense rows through
+    identities._t_rows; t_0 = 1 at every k, so adding z^n, index n of
+    entry 0, to the t_0 component adds z^n to the value."""
+    true_rows = identities._t_rows
 
     def perturbed(family, n):
-        value = true_value(family, n)
+        rows = true_rows(family, n)
         if family != "polyCauchy2":
-            return value
-        return (value[0] + ParamPoly.monomial(1, z=n),) + value[1:]
+            return rows
+        return (rows[0][:n] + (rows[0][n] + 1,),) + rows[1:]
 
-    monkeypatch.setattr(identities, "family_t", perturbed)
+    monkeypatch.setattr(identities, "_t_rows", perturbed)
 
 
 def test_reciprocity_failure_witness_is_the_exact_difference(monkeypatch,
@@ -185,7 +188,7 @@ def test_every_t_difference_is_built_in_integers(monkeypatch, fresh_caches):
     # planted fault
     _perturb_cauchy2(monkeypatch)
     scalars = [c for fam in ("polyBernoulli", "polyCauchy1", "polyCauchy2")
-               for n in range(11) for row in identities._dense_t(fam, n)
+               for n in range(11) for row in identities._t_rows(fam, n)
                for c in row]
     scalars += [c for n in range(11) for lhs in identities._inverse_lhs(n)
                 for row in lhs for c in row]
@@ -308,42 +311,66 @@ def test_a_planted_stirling_fault_fails_the_same_records_at_scale(
         "9338b8ea3b35f0e0e02fed717589ab00f3f3840ac88064c3368f7c433eed34c9")
 
 
-def test_a_term_off_its_degree_is_refused_not_dropped(monkeypatch,
-                                                      fresh_caches):
-    # P_{3,1} has degree 2 in (rho, z); a rho^5 term planted there cannot
-    # be read as a dense row entry, so the check refuses it by name
-    true_value = identities.family_t
+def test_a_gf_row_of_the_wrong_length_is_refused(monkeypatch, fresh_caches):
+    # entry 1 of gf row 3 has 3 slots; a fourth, even a zero one, is a
+    # fault that the sweep refuses, not a slot it drops into a pass
+    true_row = series._gf_row
 
     def planted(family, n):
-        value = true_value(family, n)
-        if (family, n) != ("polyCauchy2", 3):
-            return value
-        return (value[:1] + (value[1] + ParamPoly.monomial(1, rho=5),)
-                + value[2:])
+        row = true_row(family, n)
+        if (family, n) != ("polyCauchy1", 3):
+            return row
+        return row[:1] + (row[1] + (0,),) + row[2:]
 
-    monkeypatch.setattr(identities, "family_t", planted)
-    with pytest.raises(ValueError, match=r"family_t\('polyCauchy2', 3\)\[1\]"):
-        check_inverse_relations(3, 1)
+    monkeypatch.setattr(series, "_gf_row", planted)
+    with pytest.raises(ValueError, match="zip"):
+        run_gf_sweep(3, [0])
 
 
-def _homogenized(coeffs, degree):
-    """rho^degree p(z/rho) for p with the given coefficients in x."""
-    return ParamPoly({(degree - i, i, 0): c for i, c in enumerate(coeffs)})
+def _homogenized(coeffs, degree, sign=1):
+    """rho^degree p(sign*z/rho) for p with the given coefficients in x."""
+    return ParamPoly({(degree - i, i, 0): c * sign ** i
+                      for i, c in enumerate(coeffs)})
+
+
+def _assert_lhs_is_a_row_sum(relation, outer, inner, sign, weight):
+    """Entry j of the inverse relation's left side at n <= 10 is
+    sum_l weight(n, l, j) rho^(n-j) S_outer(n, l, x) S_inner(l, j, x) at
+    x = sign*z/rho, here built from the stdlib oracle's Stirling
+    polynomials."""
+    for n in range(11):
+        lhs = identities._inverse_lhs(n)[relation]
+        for j in range(n + 1):
+            rhs = ParamPoly.zero()
+            for l in range(j, n + 1):
+                rhs = rhs + (_homogenized(outer(n, l), n - l, sign)
+                             * _homogenized(inner(l, j), l - j, sign)
+                             ).scale(weight(n, l, j))
+            got = ParamPoly({(n - j - b, b, 0): c
+                             for b, c in enumerate(lhs[j])})
+            assert got == rhs, (n, j)
 
 
 def test_t5_201_left_side_is_the_ortho_2_row_sum():
     # B_m = sum_j t_j j! (-rho)^(m-j) S2(m, j, z/rho), so T5_201's left
     # side at t_j is j! rho^(n-j) sum_l (-1)^(l-j) S1(n, l, x) S2(l, j, x)
-    # at x = z/rho: ORTHO_2's row sum at (n, j) without its delta, here
-    # built from the stdlib oracle's Stirling polynomials
-    for n in range(11):
-        lhs = identities._inverse_lhs(n)[0]
-        for j in range(n + 1):
-            rhs = ParamPoly.zero()
-            for l in range(j, n + 1):
-                rhs = rhs + (_homogenized(O.weighted_s1_poly(n, l), n - l)
-                             * _homogenized(O.weighted_s2_poly(l, j), l - j)
-                             ).scale((-1) ** (l - j) * factorial(j))
-            got = ParamPoly({(n - j - b, b, 0): c
-                             for b, c in enumerate(lhs[j])})
-            assert got == rhs, (n, j)
+    # at x = z/rho: ORTHO_2's row sum at (n, j) without its delta
+    _assert_lhs_is_a_row_sum(
+        0, O.weighted_s1_poly, O.weighted_s2_poly, 1,
+        lambda n, l, j: (-1) ** (l - j) * factorial(j))
+
+
+@pytest.mark.parametrize("relation, sign", [(1, 1), (2, -1)],
+                         ids=["T5_202", "T5_203"])
+def test_t5_202_and_t5_203_left_sides_are_the_ortho_1_row_sums(relation,
+                                                                sign):
+    # c_m = sum_j t_j (-rho)^(m-j) S1(m, j, z/rho), so T5_202's left side
+    # at t_j is (-1)^(n-j) rho^(n-j) times ORTHO_1's row sum at (n, j),
+    # sum_l (-1)^(n-l) S2(n, l, x) S1(l, j, x), at x = z/rho; with
+    # g_m = (-1)^m sum_j t_j rho^(m-j) S1(m, j, -z/rho), T5_203's is
+    # (-1)^n rho^(n-j) times the same sum at x = -z/rho
+    def weight(n, l, j):
+        return (-1) ** (n - l) * (-1) ** (n if sign < 0 else n - j)
+
+    _assert_lhs_is_a_row_sum(relation, O.weighted_s2_poly,
+                             O.weighted_s1_poly, sign, weight)
