@@ -14,8 +14,10 @@ binds the t_m at one k. A relation linear in the family values that holds
 with the t_m formal holds for every k and q.
 
 P_{n,m} has degree n - m in (rho, z), so `_t_rows` holds it as a dense
-row of ints. The identities and the gf rows work on such rows, with one
-kernel, `_add_product`; `family_t` is their ParamPoly view (`_from_rows`).
+row of ints, built from row n of the weighted Stirling triangle
+(stirling._weighted_row), read once per n rather than entry by entry. The
+identities and the gf rows work on such rows, with one kernel,
+`_add_product`; `family_t` is their ParamPoly view (`_from_rows`).
 
 The first-kind Cauchy family also admits a double sum over unweighted
 first-kind numbers, kept here as an independent cross-check path; likewise
@@ -31,12 +33,7 @@ from typing import Sequence
 
 from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact,
                    q_number_power_inverse)
-from .stirling import (
-    _dense_weight,
-    stirling1,
-    weighted_stirling1,
-    weighted_stirling2,
-)
+from .stirling import _signed_weight, _weighted_row, stirling1
 
 __all__ = [
     "FAMILIES",
@@ -64,14 +61,15 @@ def _t_rows(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     bernoulli, second = family == "polyBernoulli", family == "polyCauchy2"
-    table = weighted_stirling2 if bernoulli else weighted_stirling1
+    # S2 weights the Bernoulli family, S1 both Cauchy families
+    table = _weighted_row(n, bernoulli)
     out = []
     for m in range(n + 1):
         c = factorial(m) if bernoulli else 1
         if (n if second else n - m) % 2:
             c = -c
         # the weight's length check keeps the row at n - m + 1 entries
-        w = _dense_weight(table(n, m), -1 if second else 1)
+        w = _signed_weight(table[m], n - m, -1 if second else 1)
         out.append(tuple(c * x for x in w) + (0,) * (n - m + 1 - len(w)))
     return tuple(out)
 

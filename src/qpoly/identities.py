@@ -16,8 +16,10 @@ difference.
 
 Each D_m is homogeneous of degree n - m in (rho, z, y), so it is built as
 a dense int row indexed by its z and y exponents, from the family rows of
-families._t_rows, and becomes a ParamPoly once, when cached. Differences
-with 1/m! weights (T6, T7_3, T7_4) are built times n!, in integers.
+families._t_rows and the weights of stirling._weighted_row (one row of
+the triangle per n and kind, indexed by m), and becomes a ParamPoly once,
+when cached. Differences with 1/m! weights (T6, T7_3, T7_4) are built
+times n!, in integers.
 
 Identity labels are stable wire-format tokens; one JSON record is emitted
 per (identity, n, k).
@@ -35,7 +37,7 @@ from . import series
 from .core import ParamPoly
 from .families import (FAMILIES, _add_product, _from_rows, _t_rows,
                        specialize)
-from .stirling import _dense_weight, weighted_stirling1, weighted_stirling2
+from .stirling import _signed_weight, _weighted_row
 from .textform import format_param_poly
 
 __all__ = [
@@ -104,12 +106,13 @@ def _inverse_lhs(n: int) -> tuple:
     """The inverse relations' left sides at n as dense rows,
     sum_m S(n, m, +-z/rho) rho^(n-m) F_m(z); entry j has degree n - j."""
     out = []
-    for table, sign, family in ((weighted_stirling1, 1, "polyBernoulli"),
-                                (weighted_stirling2, 1, "polyCauchy1"),
-                                (weighted_stirling2, -1, "polyCauchy2")):
+    for second, sign, family in ((False, 1, "polyBernoulli"),
+                                 (True, 1, "polyCauchy1"),
+                                 (True, -1, "polyCauchy2")):
+        table = _weighted_row(n, second)
         rows = [[0] * (n - j + 1) for j in range(n + 1)]
         for m in range(n + 1):
-            w = _dense_weight(table(n, m), sign)
+            w = _signed_weight(table[m], n - m, sign)
             for j, row in enumerate(_t_rows(family, m)):
                 _add_product(rows[j], w, row)
         out.append(tuple(map(tuple, rows)))
@@ -126,16 +129,17 @@ def check_orthogonality(n: int) -> list[IdentityReport]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
-    for identity_id, outer, inner, sign_by_l in (
-            ("ORTHO_1", weighted_stirling2, weighted_stirling1, False),
-            ("ORTHO_2", weighted_stirling1, weighted_stirling2, True)):
+    # the outer sum reads row n of one kind, the inner rows 0..n of the other
+    for identity_id, second, sign_by_l in (("ORTHO_1", True, False),
+                                           ("ORTHO_2", False, True)):
         witness: str | None = None
-        row = [outer(n, l).coeffs for l in range(n + 1)]
+        row = _weighted_row(n, second)
+        inner = [_weighted_row(l, not second) for l in range(n + 1)]
         for m in range(n + 1):
             diff = [-(m == n)]
             for l in range(m, n + 1):
-                _add_product(diff, row[l], inner(l, m).coeffs,
-                             (-1) ** (l - m if sign_by_l else n - l))
+                _add_product(diff, row[l], inner[l][m],
+                             -1 if (l - m if sign_by_l else n - l) % 2 else 1)
             if any(diff):
                 witness = "m=%d: %s" % (m, format_param_poly(ParamPoly._raw(
                     {(0, i, 0): c for i, c in enumerate(diff) if c})))
@@ -239,18 +243,19 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
 def _mixed_t(n: int) -> tuple:
     # each sum over l is _inverse_lhs(m), its rows read in y at stride n-j+1
     out = []
-    for lhs, table, sign, sign_by_m, cleared, relation in (
-            ("polyBernoulli", weighted_stirling2, 1, True, False, 1),
-            ("polyBernoulli", weighted_stirling2, 1, False, False, 2),
-            ("polyCauchy1", weighted_stirling1, 1, True, True, 0),
-            ("polyCauchy2", weighted_stirling1, -1, False, True, 0)):
+    for lhs, second, sign, sign_by_m, cleared, relation in (
+            ("polyBernoulli", True, 1, True, False, 1),
+            ("polyBernoulli", True, 1, False, False, 2),
+            ("polyCauchy1", False, 1, True, True, 0),
+            ("polyCauchy2", False, -1, False, True, 0)):
         # a cleared row is n! times its difference: weights n!/m!, not 1/m!
         scale = factorial(n) if cleared else 1
         rows = [[scale * c for c in row] for row in _t_rows(lhs, n)]
+        table = _weighted_row(n, second)
         for m in range(n + 1):
             w = scale // factorial(m) if cleared else factorial(m)
             c = -w if (n - m if sign_by_m else n) % 2 == 0 else w
-            weight = _dense_weight(table(n, m), sign)
+            weight = _signed_weight(table[m], n - m, sign)
             for j, inner in enumerate(_inverse_lhs(m)[relation]):
                 _add_product(rows[j], inner, weight, c, n - j + 1)
         out.append(_dense(rows, n))

@@ -12,7 +12,6 @@ the symbolic layer: plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -28,20 +27,46 @@ class NonconvergedTruncation(RuntimeError):
     """The geometric tail estimate exceeds the configured tolerance."""
 
 
-@dataclass(frozen=True)
 class OracleConfig:
-    q: float
-    truncation: int = 200
-    tolerance: float = 1e-9
+    """The quadrature's q in (0, 1), its nodes per level and the tolerance
+    on the tail bound. Immutable; two configs are equal when their fields
+    are. The class attributes are the defaults."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
+    truncation = 200
+    tolerance = 1e-9
+
+    def __init__(self, q: float, truncation: int = truncation,
+                 tolerance: float = tolerance) -> None:
+        if not 0.0 < q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
-        if self.truncation < 1:
+        if truncation < 1:
             raise ValueError("truncation must be positive")
         # an infinite tolerance passes every comparison, a NaN none
-        if not 0.0 < self.tolerance < math.inf:
+        if not 0.0 < tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        for name, v in (("q", q), ("truncation", truncation),
+                        ("tolerance", tolerance)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, *args):
+        raise AttributeError("OracleConfig is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.q, self.truncation, self.tolerance
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "OracleConfig(q=%r, truncation=%r, tolerance=%r)" % (
+            self._fields())
 
 
 class QuadResult(NamedTuple):

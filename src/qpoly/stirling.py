@@ -13,12 +13,16 @@ and computed here through the equivalent triangular recurrences
 
 with S(0, 0, x) = 1 and S(n, m, x) = 0 for m < 0 or m > n. Setting x = 0
 recovers the unsigned classical numbers.
+
+Each triangle is built a row at a time and kept. weighted_stirling1/2
+wrap one entry in a WeightedStirling; the q-free layer (families,
+identities) reads whole rows of coefficient tuples through _weighted_row
+and clears each weight with _signed_weight, with no per-entry object.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -41,8 +45,8 @@ def _xpoly_trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _weighted_row_next(row: list[tuple[int, ...]], n: int,
-                       second: bool) -> list[tuple[int, ...]]:
+def _weighted_row_next(row: tuple[tuple[int, ...], ...], n: int,
+                       second: bool) -> tuple[tuple[int, ...], ...]:
     """Row n+1 from row n: S(n+1, m) = S(n, m-1) + (a + x) S(n, m), with
     a = m for the second kind and a = n for the first."""
     out = []
@@ -58,29 +62,31 @@ def _weighted_row_next(row: list[tuple[int, ...]], n: int,
             for i, c in enumerate(row[m - 1]):
                 acc[i] += c
         out.append(_xpoly_trim(acc))
-    return out
+    return tuple(out)
 
 
-def _plain_row_next(row: list[int], n: int, second: bool) -> list[int]:
+def _plain_row_next(row: tuple[int, ...], n: int,
+                    second: bool) -> tuple[int, ...]:
     out = []
     for m in range(n + 2):
         v = (m if second else n) * row[m] if m <= n else 0
         if m:
             v += row[m - 1]
         out.append(v)
-    return out
+    return tuple(out)
 
 
 # a locked list, not an lru_cache, which would recurse n frames deep at row n
 _LOCK = threading.Lock()
-# rows 0..n of each triangle computed so far, keyed by (weighted, second)
+# rows 0..n of each triangle computed so far, keyed by (weighted, second);
+# each row is a tuple, so a reader cannot change the table
 _TRIANGLES: dict[tuple[bool, bool], list] = {
-    (False, False): [[1]], (False, True): [[1]],
-    (True, False): [[(1,)]], (True, True): [[(1,)]],
+    (False, False): [(1,)], (False, True): [(1,)],
+    (True, False): [((1,),)], (True, True): [((1,),)],
 }
 
 
-def _row(n: int, weighted: bool, second: bool) -> list:
+def _row(n: int, weighted: bool, second: bool) -> tuple:
     rows = _TRIANGLES[weighted, second]
     if len(rows) <= n:
         step = _weighted_row_next if weighted else _plain_row_next
@@ -112,23 +118,53 @@ def stirling2(n: int, m: int) -> int:
     return _plain(n, m, second=True)
 
 
-@dataclass(frozen=True)
 class WeightedStirling:
     """One weighted Stirling entry: an integer polynomial in the weight x.
 
     coeffs lists the coefficients ascending in x, trimmed; () is the zero
-    polynomial (m > n). The degree never exceeds n - m.
+    polynomial (m > n). The degree never exceeds n - m. Immutable; two
+    entries are equal when their fields are.
     """
 
-    n: int
-    m: int
-    kind: str  # "first" | "second"
-    coeffs: tuple[int, ...]
+    __slots__ = ("n", "m", "kind", "coeffs")
+
+    def __init__(self, n: int, m: int, kind: str,   # "first" | "second"
+                 coeffs: tuple[int, ...]) -> None:
+        for name, v in zip(self.__slots__, (n, m, kind, coeffs)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, *args):
+        raise AttributeError("WeightedStirling is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.n, self.m, self.kind, self.coeffs
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("WeightedStirling(n=%r, m=%r, kind=%r, coeffs=%r)"
+                % self._fields())
 
     def as_param_poly(self) -> ParamPoly:
         """The plain weight polynomial with x read as z."""
         return ParamPoly._raw({(0, i, 0): c
                                for i, c in enumerate(self.coeffs) if c})
+
+
+def _weighted_row(n: int, second: bool) -> tuple[tuple[int, ...], ...]:
+    """Row n of the weighted triangle of the given kind: entry m (m <= n)
+    is the coefficient tuple of S(n, m, x), as WeightedStirling.coeffs
+    holds it. The q-free layer reads its weights here, a row at a time."""
+    _check_indices(n, 0)
+    return _row(n, True, second)
 
 
 def _weighted(n: int, m: int, second: bool) -> WeightedStirling:
@@ -164,15 +200,19 @@ def substitute_weight(w: WeightedStirling, sign: int) -> ParamPoly:
     sign^i z^i rho^(n-m-i). The degree bound i <= n - m keeps every rho
     exponent nonnegative.
     """
-    return ParamPoly._raw({(w.n - w.m - i, i, 0): c for i, c
-                           in enumerate(_dense_weight(w, sign)) if c})
+    weight = _signed_weight(w.coeffs, w.n - w.m, sign)
+    return ParamPoly._raw({(w.n - w.m - i, i, 0): c
+                           for i, c in enumerate(weight) if c})
 
 
-def _dense_weight(w: WeightedStirling, sign: int) -> tuple[int, ...]:
-    """substitute_weight(w, sign) as the tuple of its z coefficients."""
+def _signed_weight(coeffs: tuple[int, ...], bound: int,
+                   sign: int) -> tuple[int, ...]:
+    """The weight polynomial coeffs at sign*x, refused if its degree
+    exceeds bound (n - m for an entry S(n, m, x)): index i is the
+    coefficient of z^i rho^(bound-i) once x = sign*z/rho is cleared."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if w.coeffs and len(w.coeffs) > w.n - w.m + 1:
+    if coeffs and len(coeffs) > bound + 1:
         raise ValueError("weight degree exceeds n - m")
-    return w.coeffs if sign == 1 else tuple(
-        -c if i % 2 else c for i, c in enumerate(w.coeffs))
+    return coeffs if sign == 1 else tuple(
+        -c if i % 2 else c for i, c in enumerate(coeffs))

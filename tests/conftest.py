@@ -3,7 +3,8 @@
 so `python3 -m pytest` works from a checkout without installing the package.
 
 The fresh_caches fixture gives the identity and generating-function tables
-empty caches of their own for one test."""
+empty caches of their own for one test; bump_weight plants a fault in the
+weighted Stirling rows that one module reads."""
 
 import os
 from functools import lru_cache
@@ -34,6 +35,22 @@ def use_fresh_caches(monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, lru_cache(maxsize=None)(
                 getattr(module, name).__wrapped__))
+
+
+def bump_weight(monkeypatch, module, n, m, second):
+    """Rebind module's _weighted_row so that S(n, m, x) of the given kind
+    has its constant coefficient bumped by 1: the fault reaches only what
+    that module builds, and the shared triangle is left as it is."""
+    true_row = module._weighted_row
+
+    def bumped(n_, second_):
+        row = true_row(n_, second_)
+        if (n_, second_) != (n, second):
+            return row
+        w = row[m]
+        return row[:m] + ((w[0] + 1,) + w[1:],) + row[m + 1:]
+
+    monkeypatch.setattr(module, "_weighted_row", bumped)
 
 
 @pytest.fixture

@@ -11,10 +11,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import bump_weight
 from qpoly import (
     QPoly,
     QRat,
-    WeightedStirling,
     eval_numeric,
     families,
     identities,
@@ -240,18 +240,9 @@ def test_a_planted_closed_form_fault_fails_the_same_records(
     # the true table, so 90 records fail across the Cauchy-type gf matches,
     # T5_202/203, T6 and T7_1-4; the whole stdout, witnesses included, is
     # pinned
-    true_entry = families.weighted_stirling1
-
-    def bumped(n, m):
-        w = true_entry(n, m)
-        if (n, m) != (6, 3):
-            return w
-        return WeightedStirling(n, m, w.kind,
-                                (w.coeffs[0] + 1,) + w.coeffs[1:])
-
     families.family_t.cache_clear()
     families._t_rows.cache_clear()
-    monkeypatch.setattr(families, "weighted_stirling1", bumped)
+    bump_weight(monkeypatch, families, 6, 3, second=False)
     try:
         code, out = run_cli(capsys, "verify", "--nmax", "10", "--k=-1,1")
     finally:

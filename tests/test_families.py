@@ -205,6 +205,24 @@ def test_t_basis_is_q_free_and_specialize_binds_q():
             assert _kinds([specialize(gf[4], k)]) == {QRat}
 
 
+def test_a_row_weight_past_its_degree_bound_is_refused(monkeypatch):
+    # the row path keeps the entry path's degree check: S1(3, 3, x) = 1
+    # read as 1 + x would give P_{3,3} a rho^-1 term
+    true_row = families._weighted_row
+
+    def padded(n, second):
+        row = true_row(n, second)
+        return row[:n] + (row[n] + (1,),)
+
+    families._t_rows.cache_clear()
+    monkeypatch.setattr(families, "_weighted_row", padded)
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            families._t_rows("polyCauchy1", 3)
+    finally:
+        families._t_rows.cache_clear()
+
+
 def test_specialize_looks_up_no_t_m_for_empty_terms(monkeypatch):
     # every passing identity verdict specializes an all-empty t-difference
     def refuse(m, k):

@@ -9,16 +9,17 @@ from math import factorial
 import pytest
 
 import oracles as O
+import qpoly.families as families
 import qpoly.identities as identities
 import qpoly.series as series
-from conftest import use_fresh_caches
+import qpoly.stirling as stirling
+from conftest import bump_weight, use_fresh_caches
 from qpoly import (
     IDENTITY_IDS,
     IdentityReport,
     ParamPoly,
     QPoly,
     QRat,
-    WeightedStirling,
     check_inverse_relations,
     check_kind_reciprocity,
     check_mixed_expansions,
@@ -252,16 +253,8 @@ def test_verdict_judges_the_t_difference_at_k():
 
 
 def test_orthogonality_failure_names_the_column(monkeypatch):
-    true_entry = identities.weighted_stirling2
-
-    def bumped(n, m):
-        # S2(2, 1, x) = 1 + 2x becomes 2 + 2x
-        w = true_entry(n, m)
-        if (n, m) != (2, 1):
-            return w
-        return WeightedStirling(n, m, w.kind, (w.coeffs[0] + 1,) + w.coeffs[1:])
-
-    monkeypatch.setattr(identities, "weighted_stirling2", bumped)
+    # S2(2, 1, x) = 1 + 2x becomes 2 + 2x
+    bump_weight(monkeypatch, identities, 2, 1, second=True)
     reports = check_orthogonality(2)
     assert [r.status for r in reports] == ["failed", "failed"]
     # ORTHO_1 meets the bump at m = 0 through -S1(1, 0, x) = -x, ORTHO_2
@@ -282,21 +275,35 @@ def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys, fresh_caches):
     assert failed and all(r["witness"] for r in failed)
 
 
+def test_a_cold_identity_sweep_builds_no_weighted_stirling(monkeypatch,
+                                                           fresh_caches):
+    # the q-free layer reads whole rows of the triangle, never one
+    # WeightedStirling per entry
+    calls = []
+    true_weighted = stirling._weighted
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true_weighted(*args, **kwargs)
+
+    families.family_t.cache_clear()
+    families._t_rows.cache_clear()
+    monkeypatch.setattr(stirling, "_weighted", counted)
+    try:
+        reports = run_identity_sweep()
+    finally:
+        families.family_t.cache_clear()
+        families._t_rows.cache_clear()
+    assert {r.status for r in reports} == {"verified"}
+    assert calls == []
+
+
 def test_a_planted_stirling_fault_fails_the_same_records_at_scale(
         monkeypatch, capsys, fresh_caches):
     # S1(6, 3, x) with its constant coefficient bumped by 1 fails 27
     # records across ORTHO_1, ORTHO_2, T5_201, T7_3 and T7_4; the whole
     # stdout, witnesses included, is pinned
-    true_entry = identities.weighted_stirling1
-
-    def bumped(n, m):
-        w = true_entry(n, m)
-        if (n, m) != (6, 3):
-            return w
-        return WeightedStirling(n, m, w.kind,
-                                (w.coeffs[0] + 1,) + w.coeffs[1:])
-
-    monkeypatch.setattr(identities, "weighted_stirling1", bumped)
+    bump_weight(monkeypatch, identities, 6, 3, second=False)
     code = main(["verify", "--scope", "identities", "--nmax", "10",
                  "--k=-1,1"])
     out = capsys.readouterr().out

@@ -34,6 +34,29 @@ def test_config_validation():
             OracleConfig(q=0.5, tolerance=tolerance)
 
 
+def test_config_construction_equality_and_defaults():
+    # the three ways cli.py builds a config, and its defaults read off
+    # the class as DEFAULT_CONFIG does
+    assert (OracleConfig.truncation, OracleConfig.tolerance) == (200, 1e-9)
+    by_position = OracleConfig(0.5, 200, 1e-9)
+    assert by_position == OracleConfig(0.5) == OracleConfig(
+        q=0.5, truncation=200, tolerance=1e-9)
+    assert OracleConfig(0.5, tolerance=1e-6).tolerance == 1e-6
+    assert (by_position.q, by_position.truncation,
+            by_position.tolerance) == (0.5, 200, 1e-9)
+    assert hash(by_position) == hash(OracleConfig(q=0.5))
+    assert OracleConfig(0.5) != OracleConfig(0.5, 100)
+    assert OracleConfig(0.5) != (0.5, 200, 1e-9)
+    assert repr(by_position) == (
+        "OracleConfig(q=0.5, truncation=200, tolerance=1e-09)")
+    with pytest.raises(AttributeError):
+        by_position.q = 0.7
+    with pytest.raises(AttributeError):
+        del by_position.q
+    with pytest.raises(TypeError):
+        OracleConfig()
+
+
 def test_monomial_rule():
     # the quadrature is exact on monomials: integral of x^m is 1/[m+1]
     for q in (0.3, 0.7):
@@ -170,3 +193,14 @@ def test_import_leaves_numpy_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses pulls in inspect, a large share of the import time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpoly; print(sorted({'dataclasses', 'inspect'}"
+         " & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

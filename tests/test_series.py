@@ -216,7 +216,7 @@ def test_integer_rows_read_no_stirling_table(monkeypatch, fresh_caches):
 
     for module in (stirling, families, identities):
         for name in ("weighted_stirling1", "weighted_stirling2", "stirling1",
-                     "substitute_weight"):
+                     "substitute_weight", "_weighted_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for family in FAMILIES:

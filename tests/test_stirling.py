@@ -15,7 +15,7 @@ from qpoly import (
     weighted_stirling1,
     weighted_stirling2,
 )
-from qpoly.stirling import WeightedStirling
+from qpoly.stirling import WeightedStirling, _weighted_row
 
 
 def _coeff_list(w):
@@ -89,6 +89,34 @@ def test_weighted_degree_bound():
 def test_weighted_rejects_bad_indices():
     with pytest.raises(ValueError):
         weighted_stirling1(-1, 0)
+    # a negative index would otherwise read the last row built
+    for second in (False, True):
+        with pytest.raises(ValueError):
+            _weighted_row(-1, second)
+
+
+def test_weighted_rows_hold_the_entries():
+    for n in range(9):
+        for second, table in ((False, weighted_stirling1),
+                              (True, weighted_stirling2)):
+            row = _weighted_row(n, second)
+            assert isinstance(row, tuple) and len(row) == n + 1
+            assert row == tuple(table(n, m).coeffs for m in range(n + 1))
+
+
+def test_weighted_entry_construction_equality_and_hashing():
+    w = WeightedStirling(2, 1, "second", (1, 2))
+    assert w == WeightedStirling(n=2, m=1, kind="second", coeffs=(1, 2))
+    assert w == weighted_stirling2(2, 1)
+    assert hash(w) == hash(weighted_stirling2(2, 1))
+    assert w != weighted_stirling1(2, 1)
+    assert w != (2, 1, "second", (1, 2))
+    assert (w.n, w.m, w.kind, w.coeffs) == (2, 1, "second", (1, 2))
+    assert repr(w) == "WeightedStirling(n=2, m=1, kind='second', coeffs=(1, 2))"
+    with pytest.raises(AttributeError):
+        w.coeffs = (0,)
+    with pytest.raises(AttributeError):
+        del w.n
 
 
 # --- Carlitz expansion ------------------------------------------------------
@@ -174,3 +202,11 @@ def test_substitute_weight_spreads_rho_powers():
 def test_substitute_weight_constant_row():
     got = substitute_weight(weighted_stirling1(3, 3), 1)
     assert got == ParamPoly.const(1)
+
+
+def test_substitute_weight_refuses_a_bad_degree_or_sign():
+    # S2(2, 1, x) has degree <= 1: an x^2 term would need rho^-1
+    with pytest.raises(ValueError):
+        substitute_weight(WeightedStirling(2, 1, "second", (1, 2, 3)), 1)
+    with pytest.raises(ValueError):
+        substitute_weight(weighted_stirling2(2, 1), 2)
