@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _exact,
+from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _div, _exact,
                    q_number_power_inverse)
 from .stirling import _signed_weight, _weighted_row, stirling1
 
@@ -68,9 +68,9 @@ def _t_rows(family: str, n: int) -> tuple[tuple[int, ...], ...]:
         c = factorial(m) if bernoulli else 1
         if (n if second else n - m) % 2:
             c = -c
-        # the weight's length check keeps the row at n - m + 1 entries
+        # the weight has n - m + 1 entries; its length check refuses more
         w = _signed_weight(table[m], n - m, -1 if second else 1)
-        out.append(tuple(c * x for x in w) + (0,) * (n - m + 1 - len(w)))
+        out.append(tuple(c * x for x in w))
     return tuple(out)
 
 
@@ -81,9 +81,12 @@ def family_t(family: str, n: int) -> tuple[ParamPoly, ...]:
     return _from_rows(_t_rows(family, n), n)
 
 
-def _from_rows(rows, n: int) -> tuple[ParamPoly, ...]:
-    """Dense rows as ParamPolys: entry j, of degree d = n - j, holds its
-    rho^(d-b-c) z^b y^c term at c*(d+1) + b, a y-free one at b."""
+def _from_rows(rows, n: int, scale: int = 1) -> tuple[ParamPoly, ...]:
+    """Dense rows holding scale times a t-value, as that t-value: entry j,
+    of degree d = n - j, holds its rho^(d-b-c) z^b y^c term at c*(d+1) + b,
+    a y-free one at b. Only a scale other than 1 divides, exactly."""
+    if scale != 1:
+        rows = [[_div(v, scale) for v in row] for row in rows]
     return tuple(ParamPoly._raw({(n - j - b - c, b, c): v
                                  for i, v in enumerate(row) if v
                                  for c, b in (divmod(i, n - j + 1),)})

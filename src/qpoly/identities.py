@@ -19,7 +19,7 @@ a dense int row indexed by its z and y exponents, from the family rows of
 families._t_rows and the weights of stirling._weighted_row (one row of
 the triangle per n and kind, indexed by m), and becomes a ParamPoly once,
 when cached. Differences with 1/m! weights (T6, T7_3, T7_4) are built
-times n!, in integers.
+times n!, in integers, and divided back by families._from_rows.
 
 Identity labels are stable wire-format tokens; one JSON record is emitted
 per (identity, n, k).
@@ -28,7 +28,6 @@ per (identity, n, k).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
@@ -69,36 +68,32 @@ class IdentityReport(NamedTuple):
     witness: str | None = None
 
 
-def _verdict(identity_id: str, n: int, k: int, tdiff,
-             scale: int) -> IdentityReport:
-    """The verdict on tdiff at k, the rule of every exact check. tdiff is
-    scale times a difference, cleared of denominators; only a failing one
-    is divided back, so the witness is the difference itself."""
+def _verdict(identity_id: str, n: int, k: int, tdiff) -> IdentityReport:
+    """The verdict on the t-difference tdiff at k, the rule of every exact
+    check; a failure's witness is the difference specialized at k."""
     if not isinstance(k, int):
         raise TypeError("k must be an integer")
     if tdiff:   # a zero t-difference is () and zero at every k
         d = specialize(tdiff, k)
         if not d.is_zero():
-            witness = format_param_poly(d.scale(Fraction(1, scale)))
-            return IdentityReport(identity_id, n, k, "failed", witness)
+            return IdentityReport(identity_id, n, k, "failed",
+                                  format_param_poly(d))
     return IdentityReport(identity_id, n, k, "verified")
 
 
-def _verdicts(ids: Sequence[str], n: int, k: int, body,
-              scales: Sequence[int]) -> list[IdentityReport]:
-    """The verdicts at k on the t-differences body(n), one per identity;
-    row i of body(n) is scales[i] times its difference."""
-    return [_verdict(i, n, k, d, s)
-            for i, d, s in zip(ids, body(n), scales)]
+def _verdicts(ids: Sequence[str], n: int, k: int,
+              body) -> list[IdentityReport]:
+    """The verdicts at k on the t-differences body(n), one per identity."""
+    return [_verdict(i, n, k, d) for i, d in zip(ids, body(n))]
 
 
-def _dense(rows, n: int) -> tuple[ParamPoly, ...]:
-    """The t-difference of dense rows, as _from_rows reads them, without
-    its trailing zero entries, so a zero one is (); every t-difference is
-    trimmed, which makes a verified one cheap to judge."""
+def _dense(rows, n: int, scale: int = 1) -> tuple[ParamPoly, ...]:
+    """The t-difference that dense rows hold scale times, read by
+    _from_rows without its trailing zero entries, so a zero one is () and
+    a verified one is cheap to judge and never divided back."""
     while rows and not any(rows[-1]):
         rows = rows[:-1]
-    return _from_rows(rows, n)
+    return _from_rows(rows, n, scale)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +156,7 @@ def check_inverse_relations(n: int, k: int) -> list[IdentityReport]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _verdicts(("T5_201", "T5_202", "T5_203"), n, k, _inverse_t,
-                     (1, 1, 1))
+    return _verdicts(("T5_201", "T5_202", "T5_203"), n, k, _inverse_t)
 
 
 @lru_cache(maxsize=None)
@@ -190,13 +184,12 @@ def check_kind_reciprocity(n: int, k: int) -> list[IdentityReport]:
 
         (-1)^n c_n(z) - sum_{m=1}^{n} L(n, m) rho^(n-m) g_m(z)
 
-    and its twin, and a failure's witness is divided back by n!.
+    and its twin; _dense divides a failing one back by n!, so a failure's
+    witness is the difference itself.
     """
     if n < 1:
         raise ValueError("reciprocity starts at n = 1")
-    scale = factorial(n)
-    return _verdicts(("T6_301", "T6_302"), n, k, _reciprocity_t,
-                     (scale, scale))
+    return _verdicts(("T6_301", "T6_302"), n, k, _reciprocity_t)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +203,7 @@ def _reciprocity_t(n: int) -> tuple:
             w = -(comb(n - 1, m - 1) * factorial(n) // factorial(m))
             for j, row in enumerate(_t_rows(rhs, m)):
                 _add_product(rows[j], (w,), row)
-        out.append(_dense(rows, n))
+        out.append(_dense(rows, n, factorial(n)))
     return tuple(out)
 
 
@@ -229,14 +222,12 @@ def check_mixed_expansions(n: int, k: int) -> list[IdentityReport]:
     Each inner sum over l is an inverse relation's left side at m (see
     check_inverse_relations), built once in z and read as a row in y.
     The last two differences are built times n!, with the integer weights
-    n!/m!, so every check runs in integers; a failure's witness is divided
-    back by n!.
+    n!/m!, so every check runs in integers; _dense divides a failing one
+    back by n!, so a failure's witness is the difference itself.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    scale = factorial(n)
-    return _verdicts(("T7_1", "T7_2", "T7_3", "T7_4"), n, k, _mixed_t,
-                     (1, 1, scale, scale))
+    return _verdicts(("T7_1", "T7_2", "T7_3", "T7_4"), n, k, _mixed_t)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +249,7 @@ def _mixed_t(n: int) -> tuple:
             weight = _signed_weight(table[m], n - m, sign)
             for j, inner in enumerate(_inverse_lhs(m)[relation]):
                 _add_product(rows[j], inner, weight, c, n - j + 1)
-        out.append(_dense(rows, n))
+        out.append(_dense(rows, n, scale))
     return tuple(out)
 
 
@@ -293,7 +284,7 @@ def run_gf_sweep(nmax: int, k_values: Sequence[int]) -> list[IdentityReport]:
                            for ra, rp in zip(series._gf_row(family, n),
                                              _t_rows(family, n),
                                              strict=True)], n)
-            reports.extend(_verdict("GF_" + family, n, k, diff, 1)
+            reports.extend(_verdict("GF_" + family, n, k, diff)
                            for k in k_values)
     return reports
 

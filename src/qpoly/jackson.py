@@ -12,6 +12,7 @@ the symbolic layer: plain floats.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -39,6 +40,7 @@ class OracleConfig:
                  tolerance: float = tolerance) -> None:
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
+        truncation = operator.index(truncation)   # a float is a TypeError
         if truncation < 1:
             raise ValueError("truncation must be positive")
         # an infinite tolerance passes every comparison, a NaN none

@@ -151,9 +151,7 @@ def _gf_row(family: str, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gf_t_row(family: str, n: int) -> tuple:
     """The integer row n divided by n!: [t^n] S_j for j <= n."""
-    scale = factorial(n)
-    return _from_rows([[_div(c, scale) for c in a]
-                       for a in _gf_row(family, n)], n)
+    return _from_rows(_gf_row(family, n), n, factorial(n))
 
 
 def family_gf_t(family: str, order: int) -> tuple:

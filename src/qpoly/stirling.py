@@ -12,7 +12,8 @@ and computed here through the equivalent triangular recurrences
     S2(n+1, m, x) = S2(n, m-1, x) + (m + x) S2(n, m, x)
 
 with S(0, 0, x) = 1 and S(n, m, x) = 0 for m < 0 or m > n. Setting x = 0
-recovers the unsigned classical numbers.
+recovers the unsigned classical numbers. For m <= n, S(n, m, x) has
+degree n - m and leading coefficient C(n, m), so it needs no trimming.
 
 Each triangle is built a row at a time and kept. weighted_stirling1/2
 wrap one entry in a WeightedStirling; the q-free layer (families,
@@ -23,7 +24,6 @@ and clears each weight with _signed_weight, with no per-entry object.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import comb
 
 from .core import ParamPoly
@@ -39,20 +39,14 @@ __all__ = [
 ]
 
 
-def _xpoly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def _weighted_row_next(row: tuple[tuple[int, ...], ...], n: int,
                        second: bool) -> tuple[tuple[int, ...], ...]:
     """Row n+1 from row n: S(n+1, m) = S(n, m-1) + (a + x) S(n, m), with
     a = m for the second kind and a = n for the first."""
     out = []
     for m in range(n + 2):
-        # row n, column m has degree <= n - m, so n + 2 slots hold the sum
-        acc = [0] * (n + 2)
+        # degree n + 1 - m, leading coefficient C(n+1, m): no slot spare
+        acc = [0] * (n + 2 - m)
         if m <= n:
             a = m if second else n
             for i, c in enumerate(row[m]):
@@ -61,7 +55,7 @@ def _weighted_row_next(row: tuple[tuple[int, ...], ...], n: int,
         if m:
             for i, c in enumerate(row[m - 1]):
                 acc[i] += c
-        out.append(_xpoly_trim(acc))
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -121,9 +115,9 @@ def stirling2(n: int, m: int) -> int:
 class WeightedStirling:
     """One weighted Stirling entry: an integer polynomial in the weight x.
 
-    coeffs lists the coefficients ascending in x, trimmed; () is the zero
-    polynomial (m > n). The degree never exceeds n - m. Immutable; two
-    entries are equal when their fields are.
+    coeffs lists the n - m + 1 coefficients ascending in x, the last
+    C(n, m); () is the zero polynomial (m > n). Immutable; two entries are
+    equal when their fields are.
     """
 
     __slots__ = ("n", "m", "kind", "coeffs")
@@ -186,11 +180,11 @@ def carlitz_expand(n: int, m: int) -> WeightedStirling:
 
         sum_i C(m+i, i) stirling1(n, m+i) x^i
 
-    The sum stops at i = n - m since higher first-kind numbers vanish.
+    The sum ends at i = n - m, past which S1 vanishes, on C(n, m) != 0.
     """
     _check_indices(n, m)
     coeffs = [comb(m + i, i) * stirling1(n, m + i) for i in range(n - m + 1)]
-    return WeightedStirling(n, m, "first", _xpoly_trim(coeffs))
+    return WeightedStirling(n, m, "first", tuple(coeffs))
 
 
 def substitute_weight(w: WeightedStirling, sign: int) -> ParamPoly:

@@ -1,6 +1,7 @@
 """Closed-form families: frozen values, degenerations, two-form agreement."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -170,6 +171,21 @@ def test_kaneko_duality_at_q1():
     at_rho1_z0 = [poly_bernoulli(a, b).substitute(rho=1, z=0)
                   for a, b in ((3, -2), (2, -3))]
     assert at_rho1_z0[0] != at_rho1_z0[1]
+
+
+def test_from_rows_divides_a_scaled_row_back_and_reads_scale_1_as_is():
+    for fam in FAMILIES:
+        for n in range(8):
+            rows = families._t_rows(fam, n)
+            scaled = [[factorial(n) * c for c in row] for row in rows]
+            assert families._from_rows(scaled, n, factorial(n)) == \
+                families._from_rows(rows, n) == family_t(fam, n)
+    # an inexact quotient is a Fraction, and scale 1 keeps the very ints
+    big = 10 ** 40 + 1
+    [p] = families._from_rows(((big, 0, -3),), 2)
+    assert p.terms[2, 0, 0] is big and p.terms[0, 2, 0] == -3
+    [p] = families._from_rows(((big, 0, -3),), 2, 2)
+    assert p.terms == {(2, 0, 0): F(big, 2), (0, 2, 0): F(-3, 2)}
 
 
 def test_renaming_z_to_y_moves_the_weight():

@@ -184,23 +184,33 @@ def test_rescaled_t7_witnesses_are_the_differences(monkeypatch,
 
 
 def test_every_t_difference_is_built_in_integers(monkeypatch, fresh_caches):
-    # a verified difference is empty, so the dense rows the bodies build
-    # from are checked too, and the differences are made nonzero by a
-    # planted fault
+    # the bodies hand int rows and an int scale to the reader, _dense,
+    # which alone divides; a planted fault makes the differences nonzero,
+    # so the rows of a failing difference are checked as well
     _perturb_cauchy2(monkeypatch)
     scalars = [c for fam in ("polyBernoulli", "polyCauchy1", "polyCauchy2")
                for n in range(11) for row in identities._t_rows(fam, n)
                for c in row]
     scalars += [c for n in range(11) for lhs in identities._inverse_lhs(n)
                 for row in lhs for c in row]
+    true_dense, handed = identities._dense, []
+
+    def recorded(rows, n, scale=1):
+        handed.append((n, scale))
+        scalars.extend(c for row in rows for c in row)
+        scalars.append(scale)
+        return true_dense(rows, n, scale)
+
+    monkeypatch.setattr(identities, "_dense", recorded)
     for body, ns in ((identities._inverse_t, range(11)),
                      (identities._reciprocity_t, range(1, 11)),
                      (identities._mixed_t, range(9))):
-        out = [c for n in ns for row in body(n)
-               for p in row for c in p.terms.values()]
-        assert out, body.__name__
-        scalars.extend(out)
+        out = [p for n in ns for row in body(n) for p in row]
+        assert any(p.terms for p in out), body.__name__
     assert {type(c) for c in scalars} == {int}
+    # T5, T7_1 and T7_2 are read as they are; T6, T7_3, T7_4 times n!
+    assert set(handed) == ({(n, 1) for n in range(11)}
+                           | {(n, factorial(n)) for n in range(11)})
 
 
 def test_t5_and_t7_share_one_inverse_left_side_per_n(monkeypatch,
@@ -242,9 +252,9 @@ def test_verdict_judges_the_t_difference_at_k():
     def body(n):
         return ((ParamPoly.const(1), ParamPoly.const(-1)),)
 
-    assert identities._verdicts(("T5_201",), 1, 0, body, (1,)) == [
+    assert identities._verdicts(("T5_201",), 1, 0, body) == [
         IdentityReport("T5_201", 1, 0, "verified")]
-    [failed] = identities._verdicts(("T5_201",), 1, 1, body, (1,))
+    [failed] = identities._verdicts(("T5_201",), 1, 1, body)
     assert failed.status == "failed"
     # 1 - 1/(1 + q) = q/(1 + q)
     assert failed.witness == "(1*q^1)/(1 + 1*q^1)"

@@ -34,6 +34,13 @@ def test_config_validation():
             OracleConfig(q=0.5, tolerance=tolerance)
 
 
+def test_config_refuses_a_non_integer_truncation():
+    # range() would otherwise refuse it only inside oracle_family
+    for truncation in (2.5, 200.0, "200", None):
+        with pytest.raises(TypeError):
+            OracleConfig(0.5, truncation)
+
+
 def test_config_construction_equality_and_defaults():
     # the three ways cli.py builds a config, and its defaults read off
     # the class as DEFAULT_CONFIG does

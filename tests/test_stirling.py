@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -80,10 +81,13 @@ def test_weighted_reduce_to_plain_at_zero_weight():
 
 
 def test_weighted_degree_bound():
-    for n in range(9):
-        for m in range(n + 1):
-            assert len(weighted_stirling1(n, m).coeffs) <= n - m + 1
-            assert len(weighted_stirling2(n, m).coeffs) <= n - m + 1
+    # S(n, m, x) has degree n - m and leading coefficient C(n, m), so a
+    # stored entry is never trimmed and a family row never padded
+    for second in (False, True):
+        for n in range(31):
+            for m, w in enumerate(_weighted_row(n, second)):
+                assert len(w) == n - m + 1
+                assert w[-1] == comb(n, m)
 
 
 def test_weighted_rejects_bad_indices():
