@@ -28,8 +28,8 @@ __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
 
 DEFAULT_CONFIG = {
     "series_order": 12,      # order of the generating-function sweep
-    "oracle_truncation": OracleConfig.truncation,
-    "tolerance": OracleConfig.tolerance,
+    "oracle_truncation": OracleConfig._field_defaults["truncation"],
+    "tolerance": OracleConfig._field_defaults["tolerance"],
     "k_range": (-2, 3),      # inclusive sweep bounds
     "nmax_identities": 10,
     "nmax_mixed": 8,
@@ -101,7 +101,7 @@ def load_config(path: str) -> dict:
     line or value, one past its bound included, is named by its path:line
     (and key) as the line is read."""
     cfg = dict(DEFAULT_CONFIG)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:   # skips a BOM
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

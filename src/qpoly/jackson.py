@@ -28,16 +28,22 @@ class NonconvergedTruncation(RuntimeError):
     """The geometric tail estimate exceeds the configured tolerance."""
 
 
-class OracleConfig:
+class _OracleFields(NamedTuple):
+    q: float
+    truncation: int = 200
+    tolerance: float = 1e-9
+
+
+class OracleConfig(_OracleFields):
     """The quadrature's q in (0, 1), its nodes per level and the tolerance
-    on the tail bound. Immutable; two configs are equal when their fields
-    are. The class attributes are the defaults."""
+    on the tail bound: a NamedTuple whose defaults are in _field_defaults.
+    Every way to build one, _replace, _make, copy and pickle included,
+    runs the checks in __new__."""
 
-    truncation = 200
-    tolerance = 1e-9
+    __slots__ = ()
 
-    def __init__(self, q: float, truncation: int = truncation,
-                 tolerance: float = tolerance) -> None:
+    def __new__(cls, *args, **kwargs):
+        q, truncation, tolerance = _OracleFields(*args, **kwargs)
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
         truncation = operator.index(truncation)   # a float is a TypeError
@@ -46,29 +52,11 @@ class OracleConfig:
         # an infinite tolerance passes every comparison, a NaN none
         if not 0.0 < tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        for name, v in (("q", q), ("truncation", truncation),
-                        ("tolerance", tolerance)):
-            object.__setattr__(self, name, v)
+        return super().__new__(cls, q, truncation, tolerance)
 
-    def __setattr__(self, *args):
-        raise AttributeError("OracleConfig is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.q, self.truncation, self.tolerance
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "OracleConfig(q=%r, truncation=%r, tolerance=%r)" % (
-            self._fields())
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)   # the base's _make would skip the checks
 
 
 class QuadResult(NamedTuple):

@@ -16,15 +16,17 @@ recovers the unsigned classical numbers. For m <= n, S(n, m, x) has
 degree n - m and leading coefficient C(n, m), so it needs no trimming.
 
 Each triangle is built a row at a time and kept. weighted_stirling1/2
-wrap one entry in a WeightedStirling; the q-free layer (families,
-identities) reads whole rows of coefficient tuples through _weighted_row
-and clears each weight with _signed_weight, with no per-entry object.
+return one entry as a WeightedStirling NamedTuple; the q-free layer
+(families, identities) reads whole rows of coefficient tuples through
+_weighted_row and clears each weight with _signed_weight, with no
+per-entry object.
 """
 
 from __future__ import annotations
 
 import threading
 from math import comb
+from typing import NamedTuple
 
 from .core import ParamPoly
 
@@ -112,40 +114,17 @@ def stirling2(n: int, m: int) -> int:
     return _plain(n, m, second=True)
 
 
-class WeightedStirling:
+class WeightedStirling(NamedTuple):
     """One weighted Stirling entry: an integer polynomial in the weight x.
 
     coeffs lists the n - m + 1 coefficients ascending in x, the last
-    C(n, m); () is the zero polynomial (m > n). Immutable; two entries are
-    equal when their fields are.
+    C(n, m); () is the zero polynomial (m > n).
     """
 
-    __slots__ = ("n", "m", "kind", "coeffs")
-
-    def __init__(self, n: int, m: int, kind: str,   # "first" | "second"
-                 coeffs: tuple[int, ...]) -> None:
-        for name, v in zip(self.__slots__, (n, m, kind, coeffs)):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeightedStirling is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.n, self.m, self.kind, self.coeffs
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return ("WeightedStirling(n=%r, m=%r, kind=%r, coeffs=%r)"
-                % self._fields())
+    n: int
+    m: int
+    kind: str   # "first" | "second"
+    coeffs: tuple[int, ...]
 
     def as_param_poly(self) -> ParamPoly:
         """The plain weight polynomial with x read as z."""

@@ -595,6 +595,22 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert max(r["n"] for r in recs) == 5
 
 
+def test_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path,
+                                                              capsys):
+    # Notepad's "UTF-8 with BOM" and PowerShell 5's Out-File write EF BB BF
+    outs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        cfg = tmp_path / "qpoly.cfg"
+        cfg.write_bytes(bom + b"series_order = 4\n")
+        code, out = run_cli(capsys, "verify", "--scope", "gf",
+                            "--config", str(cfg))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[1].encode("utf-8")).hexdigest() == (
+        "6ac30c5309e1be6a6bfd62de84c4d9545a040d455103443280cb76d95d0c161f")
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
     cfg.write_text("series_order = 5\nnope = 1\n")

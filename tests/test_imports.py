@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used,
+and every module parses as the oldest supported Python."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qpoly"
+SOURCES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # __init__.py imports to re-export, so it is left out
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +31,24 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# pyproject.toml's requires-python
+PYTHON_FLOOR = (3, 10)
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_parses_as_the_python_floor(module):
+    ast.parse((PACKAGE / module).read_text(), feature_version=PYTHON_FLOOR)
+
+
+@pytest.mark.parametrize("newer", [
+    "try:\n    pass\nexcept* ValueError:\n    pass\n",   # 3.11
+    "type X = int\n",                                     # 3.12
+], ids=["except-star", "type-alias"])
+def test_the_floor_check_refuses_newer_syntax(newer):
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=PYTHON_FLOOR)
 
 
 def test_the_check_finds_an_unused_import():

@@ -1,6 +1,8 @@
 """Numeric path: truncated Jackson integrals as an outside check."""
 
+import copy
 import math
+import pickle
 import subprocess
 import sys
 
@@ -44,7 +46,8 @@ def test_config_refuses_a_non_integer_truncation():
 def test_config_construction_equality_and_defaults():
     # the three ways cli.py builds a config, and its defaults read off
     # the class as DEFAULT_CONFIG does
-    assert (OracleConfig.truncation, OracleConfig.tolerance) == (200, 1e-9)
+    assert OracleConfig._field_defaults == {"truncation": 200,
+                                            "tolerance": 1e-9}
     by_position = OracleConfig(0.5, 200, 1e-9)
     assert by_position == OracleConfig(0.5) == OracleConfig(
         q=0.5, truncation=200, tolerance=1e-9)
@@ -53,7 +56,6 @@ def test_config_construction_equality_and_defaults():
             by_position.tolerance) == (0.5, 200, 1e-9)
     assert hash(by_position) == hash(OracleConfig(q=0.5))
     assert OracleConfig(0.5) != OracleConfig(0.5, 100)
-    assert OracleConfig(0.5) != (0.5, 200, 1e-9)
     assert repr(by_position) == (
         "OracleConfig(q=0.5, truncation=200, tolerance=1e-09)")
     with pytest.raises(AttributeError):
@@ -62,6 +64,30 @@ def test_config_construction_equality_and_defaults():
         del by_position.q
     with pytest.raises(TypeError):
         OracleConfig()
+
+
+def test_no_way_to_build_a_config_skips_its_checks():
+    # a bare NamedTuple's _make, which _replace calls, builds the tuple
+    # without __new__; copy and pickle rebuild through __new__
+    cfg = OracleConfig(0.5)
+    assert cfg._replace(tolerance=1e-6) == OracleConfig(0.5, 200, 1e-6)
+    assert OracleConfig._make((0.7, 50, 1e-9)) == OracleConfig(0.7, 50)
+    assert copy.copy(cfg) == pickle.loads(pickle.dumps(cfg)) == cfg
+    for bad in ({"q": 2.0}, {"truncation": 0}, {"tolerance": math.nan}):
+        with pytest.raises(ValueError):
+            cfg._replace(**bad)
+    with pytest.raises(TypeError):
+        cfg._replace(truncation=2.5)
+    with pytest.raises(TypeError):
+        OracleConfig._make((0.5, 2.5, 1e-9))
+    with pytest.raises(ValueError):
+        OracleConfig._make((1.0, 200, 1e-9))
+    # an instance forged past __new__ cannot be copied or unpickled
+    forged = tuple.__new__(OracleConfig, (2.0, 200, 1e-9))
+    with pytest.raises(ValueError):
+        copy.copy(forged)
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_monomial_rule():

@@ -114,7 +114,6 @@ def test_weighted_entry_construction_equality_and_hashing():
     assert w == weighted_stirling2(2, 1)
     assert hash(w) == hash(weighted_stirling2(2, 1))
     assert w != weighted_stirling1(2, 1)
-    assert w != (2, 1, "second", (1, 2))
     assert (w.n, w.m, w.kind, w.coeffs) == (2, 1, "second", (1, 2))
     assert repr(w) == "WeightedStirling(n=2, m=1, kind='second', coeffs=(1, 2))"
     with pytest.raises(AttributeError):
