@@ -101,8 +101,11 @@ def load_config(path: str) -> dict:
     line or value, one past its bound included, is named by its path:line
     (and key) as the line is read."""
     cfg = dict(DEFAULT_CONFIG)
-    with open(path, "r", encoding="utf-8-sig") as fh:   # skips a BOM
+    # skips a BOM; a byte that is not UTF-8 reads as a lone surrogate
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if any("\udc80" <= c <= "\udcff" for c in raw):
+                raise ValueError("%s:%d: not UTF-8 text" % (path, lineno))
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -180,79 +183,58 @@ def _get_config(args) -> dict:
     return load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
 
 
-def _point_arg(flag: str, text: str | None,
-               numeric: bool) -> Fraction | float | None:
-    """An optional --rho/--z value as an exact fraction, or when numeric
-    as its float, correctly rounded as float(text) is. A decimal exponent
-    past the text's length plus FLOAT_EXPONENT or the print limit
-    (_huge_exponent) is cut to just past the bound first."""
-    if text is None:
-        return None
-    try:
-        limit = FLOAT_EXPONENT if numeric else _print_limit()
-        huge = _huge_exponent(text, limit)
-        # an exponent just past the bound gives the same float or refusal
-        value = Fraction("%se%d" % (huge[0], (len(text) + limit + 1) * (
-            1 if huge[1] > 0 else -1)) if huge else text)
-        if numeric:
-            return float(value)
-        if not (huge and value):
-            return value
-    except ZeroDivisionError:
-        raise ValueError("%s %s has a zero denominator"
-                         % (flag, text)) from None
-    except OverflowError:
-        raise ValueError("%s %s is past the float range"
-                         % (flag, text)) from None
-    except ValueError:
-        raise ValueError("%s %s is not a fraction or decimal"
-                         % (flag, text)) from None
-    raise ValueError("%s %s would have over %d digits, past the %d that "
-                     "Python prints"
-                     % (flag, text, abs(huge[1]) - len(text), limit))
-
-
-def _digits(i: int) -> int:
-    """The decimal digits of i, read off its bit length (at most one
-    over), since str(i) may itself be past the print limit."""
-    return int(abs(i).bit_length() * 0.30103) + 1
-
-
-def _check_print_size(args, n: int, rho, z) -> None:
-    """Refuse an exact --rho/--z at which values up to order n may hold
-    an int longer than Python prints (_print_limit()). Such a value is of
-    degree n in rho and z, so its numerator and denominator have at most
-    about n times the digits of the point's, plus the family's own
-    (OWN_DIGITS_PER_ORDER)."""
-    limit = _print_limit()
-    given = [(flag, text, v) for flag, text, v in (("--rho", args.rho, rho),
-                                                   ("--z", args.z, z))
-             if v is not None]
-    digits = sum(_digits(v.numerator) + _digits(v.denominator)
-                 for _, _, v in given)
-    size = max(n, 1) * (digits + OWN_DIGITS_PER_ORDER)
-    if given and size > limit:
-        raise ValueError("%s: values up to n = %d would have about %d "
-                         "digits, past the %d that Python prints"
-                         % (" ".join("%s %s" % g[:2] for g in given), n,
-                            size, limit))
-
-
 def _eval_point(args, n: int) -> tuple:
-    """Check the evaluation flags and return (rho, z): exact, or rounded to
-    floats under --q. Every flag error is raised here, before any output;
-    n is the largest order that will be evaluated."""
+    """Check the evaluation flags and return (rho, z): exact, or under --q
+    floats rounded as float(text) rounds. Every flag error is raised here,
+    before any output; n is the largest order that will be evaluated.
+
+    A decimal exponent past the text's length plus FLOAT_EXPONENT (--q) or
+    the print limit (exact) is first cut to just past it (_huge_exponent),
+    so 10^|e| is never built. An exact point is refused when values up to
+    order n, of degree n in rho and z, may hold an int longer than Python
+    prints: about n times the point's digits plus the family's own
+    (OWN_DIGITS_PER_ORDER). A nonzero cut point counts the digits that its
+    exponent as written gives at least ("over"), always past the limit."""
     numeric = args.q is not None
     if args.at_q1 and numeric:
         raise ValueError("--at-q1 and --q are mutually exclusive")
-    rho = _point_arg("--rho", args.rho, numeric)
-    z = _point_arg("--z", args.z, numeric)
+    limit = FLOAT_EXPONENT if numeric else _print_limit()
+    point, given, digits, cut_digits = {}, [], 0, 0
+    for flag, text in (("--rho", args.rho), ("--z", args.z)):
+        if text is None:
+            continue
+        huge = _huge_exponent(text, limit)
+        try:
+            # an exponent just past the bound gives the same float or refusal
+            value = Fraction("%se%d" % (huge[0], (len(text) + limit + 1) * (
+                1 if huge[1] > 0 else -1)) if huge else text)
+            point[flag] = float(value) if numeric else value
+        except ZeroDivisionError:
+            raise ValueError("%s %s has a zero denominator"
+                             % (flag, text)) from None
+        except OverflowError:
+            raise ValueError("%s %s is past the float range"
+                             % (flag, text)) from None
+        except ValueError:
+            raise ValueError("%s %s is not a fraction or decimal"
+                             % (flag, text)) from None
+        given.append("%s %s" % (flag, text))
+        if huge and value:
+            cut_digits += abs(huge[1]) - len(text)
+        else:   # by bit length, at most one over: str may pass the limit
+            digits += sum(int(i.bit_length() * 0.30103) + 1
+                          for i in (abs(value.numerator), value.denominator))
     if numeric:
-        return 1.0 if rho is None else rho, 0.0 if z is None else z
-    if not args.at_q1 and (rho is not None or z is not None):
+        return point.get("--rho", 1.0), point.get("--z", 0.0)
+    if given and not args.at_q1:
         raise ValueError("--rho/--z need --at-q1 or --q")
-    _check_print_size(args, n, rho, z)
-    return rho, z
+    size = max(n, 1) * (digits + cut_digits + OWN_DIGITS_PER_ORDER)
+    if given and size > limit:
+        raise ValueError("%s: values up to n = %d would have %s %d digits, "
+                         "past the %d that Python prints"
+                         % (" ".join(given), n,
+                            "over" if cut_digits else "about", size, limit))
+    return point.get("--rho"), point.get("--z")
 
 
 def _evaluate(value: ParamPoly, args, rho, z) -> tuple:

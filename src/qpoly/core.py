@@ -19,8 +19,9 @@ the t-basis values, and every identity and generating-function difference
 built from them, hold scalars and never touch QPoly or QRat; QRats appear
 only where `families.specialize` binds the t_m.
 
-Every accumulated sum of ParamPoly products is one call of
-ParamPoly.sum_of_products, which collects all product terms in one pass.
+ParamPoly.sum_of_products collects a sum of products in one pass, for the
+TruncSeries product and composition; the families, their generating
+functions and the sweeps sum int rows instead (families._add_product).
 """
 
 from __future__ import annotations

@@ -597,18 +597,36 @@ def test_config_file_round_trip(tmp_path, capsys):
 
 def test_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path,
                                                               capsys):
-    # Notepad's "UTF-8 with BOM" and PowerShell 5's Out-File write EF BB BF
+    # Notepad's "UTF-8 with BOM" and PowerShell 5's Out-File write EF BB BF;
+    # a line may also end in CR LF or CR alone
     outs = []
     for bom in (b"", b"\xef\xbb\xbf"):
-        cfg = tmp_path / "qpoly.cfg"
-        cfg.write_bytes(bom + b"series_order = 4\n")
-        code, out = run_cli(capsys, "verify", "--scope", "gf",
-                            "--config", str(cfg))
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+        for end in (b"\n", b"\r\n", b"\r"):
+            cfg = tmp_path / "qpoly.cfg"
+            cfg.write_bytes(bom + end.join([b"# caf\xc3\xa9",
+                                            b"series_order = 4", b""]))
+            code, out = run_cli(capsys, "verify", "--scope", "gf",
+                                "--config", str(cfg))
+            assert code == 0
+            outs.append(out)
+    assert outs == outs[:1] * 6
     assert hashlib.sha256(outs[1].encode("utf-8")).hexdigest() == (
         "6ac30c5309e1be6a6bfd62de84c4d9545a040d455103443280cb76d95d0c161f")
+
+
+def test_a_config_that_is_not_utf8_names_its_path_and_line(
+        monkeypatch, tmp_path, capsys):
+    _refuse_builds(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    # a BOM is still skipped, and a CR alone still ends a line
+    for data, lineno in [(b"series_order = 4 # caf\xe9\n", 1),
+                         (b"\xef\xbb\xbfk_range = 0,1\rseries_order = \xff\r",
+                          2)]:
+        cfg.write_bytes(data)
+        assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s:%d: not UTF-8 text\n" % (cfg, lineno)
+        assert captured.out == ""
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -869,9 +887,12 @@ def test_a_point_past_the_float_range_names_its_flag(capsys, argv, flag):
     (["verify", "--scope", "gf", "--k", "x"], "--k"),
     (["verify", "--scope", "gf", "--k", "1,2,3"], "--k"),
     (["verify", "--scope", "gf", "--k", "3,1"], "--k"),
+    # with neither mode, the mode is named before a huge exact exponent
+    (["value", "--family", "polyCauchy2", "--n", "3", "--k", "2",
+      "--rho", "1e99999999"], "--rho/--z need --at-q1 or --q"),
 ], ids=["value-rho-nan", "value-z-inf", "at-q1-rho-abc", "at-q1-z-1/0",
         "oracle-rho-nan", "verify-k-x", "verify-k-three-parts",
-        "verify-k-empty"])
+        "verify-k-empty", "no-mode-huge-rho"])
 def test_a_bad_value_names_its_flag(monkeypatch, capsys, argv, where):
     _refuse_builds(monkeypatch)
     assert main(argv) == 2
@@ -944,11 +965,27 @@ def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
     finally:
         sys.set_int_max_str_digits(old)
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: %s would have over 999999" % where)
+    # the size rule refuses the cut value, counting the digits that the
+    # exponent as written gives at least
+    prefix = "error: %s: values up to n = 3 would have over " % where
+    assert captured.err.startswith(prefix)
+    assert int(captured.err[len(prefix):].split()[0]) > 99999999 - len(where)
     assert captured.err.endswith(" digits, past the %d that Python prints\n"
                                  % ((old if limit is None else limit)
                                     or sys.int_info.default_max_str_digits))
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("zero", ["0e99999999", "-0e-99999999"])
+def test_a_huge_exponent_of_zero_reads_as_zero_when_exact(capsys, zero):
+    argv = ["value", "--family", "polyCauchy1", "--n", "3", "--k", "1",
+            "--at-q1"]
+    code, out = run_cli(capsys, *argv, "--rho", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "91ce6d649091f8a54534dda7b090a0a5728750563ee50ed30aee20ff38808dec")
+    assert (_timed_main(argv + ["--rho=" + zero]),
+            capsys.readouterr().out) == (code, out)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module of the package imports is used,
-and every module parses as the oldest supported Python."""
+every module-level private name is read, and every module parses as the
+oldest supported Python."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,58 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """The names read under node: loaded names, attributes and the names
+    that `from ... import` brings in."""
+    return ([n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)]
+            + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+            + [alias.name for n in ast.walk(node)
+               if isinstance(n, ast.ImportFrom) for alias in n.names])
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'module:name' for each module-level private name (_x: a def, class
+    or assignment) of sources that no code outside its own definition
+    reads, in source order."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(_reads(node))
+            unread += ["%s:%s" % (module, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and reads[name] == own[name]]
+    return unread
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({module: (PACKAGE / module).read_text()
+                                 for module in SOURCES}) == []
+
+
+def test_the_check_finds_an_unread_private_name():
+    assert unread_private_names({
+        "a.py": "def _used():\n    pass\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "_LIMIT, _SHOWN = 1, 2\n_typed: int = 3\n"
+                "class _Seen:\n    pass\n__all__ = []\n",
+        "b.py": "from a import _used\nimport a\n"
+                "x = _used() or a._SHOWN or _Seen\n",
+    }) == ["a.py:_recursive", "a.py:_LIMIT", "a.py:_typed"]
 
 
 # pyproject.toml's requires-python
