@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -204,21 +205,24 @@ def _eval_point(args, n: int) -> tuple:
         if text is None:
             continue
         huge = _huge_exponent(text, limit)
+        shown = "%s %.40s%s" % (flag, text, "..." * (len(text) > 40))
         try:
             # an exponent just past the bound gives the same float or refusal
-            value = Fraction("%se%d" % (huge[0], (len(text) + limit + 1) * (
-                1 if huge[1] > 0 else -1)) if huge else text)
+            cut = "%se%d" % (huge[0], (len(text) + limit + 1) * (
+                1 if huge[1] > 0 else -1)) if huge else text
+            try:
+                value = Fraction(cut)
+            except ValueError:   # more digits than int() reads: Decimal
+                exact = Decimal(cut)
+                value = Fraction(exact if exact.is_finite() else cut)
             point[flag] = float(value) if numeric else value
         except ZeroDivisionError:
-            raise ValueError("%s %s has a zero denominator"
-                             % (flag, text)) from None
+            raise ValueError(shown + " has a zero denominator") from None
         except OverflowError:
-            raise ValueError("%s %s is past the float range"
-                             % (flag, text)) from None
-        except ValueError:
-            raise ValueError("%s %s is not a fraction or decimal"
-                             % (flag, text)) from None
-        given.append("%s %s" % (flag, text))
+            raise ValueError(shown + " is past the float range") from None
+        except (ValueError, InvalidOperation):
+            raise ValueError(shown + " is not a fraction or decimal") from None
+        given.append(shown)
         if huge and value:
             cut_digits += abs(huge[1]) - len(text)
         else:   # by bit length, at most one over: str may pass the limit

@@ -17,23 +17,20 @@ P_{n,m} has degree n - m in (rho, z), so `_t_rows` holds it as a dense
 row of ints, built from row n of the weighted Stirling triangle
 (stirling._weighted_row), read once per n rather than entry by entry. The
 identities and the gf rows work on such rows, with one kernel,
-`_add_product`; `family_t` is their ParamPoly view (`_from_rows`).
-
-The first-kind Cauchy family also admits a double sum over unweighted
-first-kind numbers, kept here as an independent cross-check path; likewise
-for the second kind.
+`_add_product`; `family_t` is their ParamPoly view (`_from_rows`). The
+tests check these rows against the Cauchy double sums over the usual S1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 from .core import (_QP_ONE, ParamPoly, QPoly, QRat, _div, _exact,
                    q_number_power_inverse)
-from .stirling import _signed_weight, _weighted_row, stirling1
+from .stirling import _signed_weight, _weighted_row
 
 __all__ = [
     "FAMILIES",
@@ -42,9 +39,7 @@ __all__ = [
     "family_value",
     "poly_bernoulli",
     "poly_cauchy1",
-    "poly_cauchy1_double_sum",
     "poly_cauchy2",
-    "poly_cauchy2_double_sum",
     "specialize",
 ]
 
@@ -142,41 +137,6 @@ def poly_cauchy2(n: int, k: int) -> ParamPoly:
     """Weighted first-kind Stirling sum for the second Cauchy-type family,
     with the weight taken at -z/rho and a global (-1)^n."""
     return specialize(family_t("polyCauchy2", n), k)
-
-
-def _double_sum(n: int, k: int, sign_by_m: bool) -> ParamPoly:
-    """sign * sum_m S1(n, m) rho^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k,
-    with sign (-1)^(n-m) inside the m sum if sign_by_m, else (-1)^n.
-
-    It reads the plain, unweighted first-kind numbers, so it stays an
-    independent check of the weighted-table closed forms.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pairs = [[] for _ in range(n + 1)]   # by the index of t
-    for m in range(n + 1):
-        s = stirling1(n, m)
-        outer = -s if (n - m if sign_by_m else n) % 2 else s
-        for i in range(m + 1):
-            c = outer * comb(m, i)
-            pairs[m - i].append(((n - m, i, 0), -c if i % 2 else c))
-    return specialize([ParamPoly._collect(p) for p in pairs], k)
-
-
-def poly_cauchy1_double_sum(n: int, k: int) -> ParamPoly:
-    """Independent double-sum form of the first Cauchy-type family:
-
-        sum_m S1(n, m) (-rho)^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k
-    """
-    return _double_sum(n, k, True)
-
-
-def poly_cauchy2_double_sum(n: int, k: int) -> ParamPoly:
-    """Independent double-sum form of the second Cauchy-type family:
-
-        (-1)^n sum_m S1(n, m) rho^(n-m) sum_i C(m, i) (-z)^i / [m-i+1]_q^k
-    """
-    return _double_sum(n, k, False)
 
 
 def family_value(family: str, n: int, k: int) -> ParamPoly:

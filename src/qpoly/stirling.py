@@ -12,7 +12,8 @@ and computed here through the equivalent triangular recurrences
     S2(n+1, m, x) = S2(n, m-1, x) + (m + x) S2(n, m, x)
 
 with S(0, 0, x) = 1 and S(n, m, x) = 0 for m < 0 or m > n. Setting x = 0
-recovers the unsigned classical numbers. For m <= n, S(n, m, x) has
+recovers the unsigned classical numbers (the tests rebuild the first-kind
+rows from them by Carlitz's expansion). For m <= n, S(n, m, x) has
 degree n - m and leading coefficient C(n, m), so it needs no trimming.
 
 Each triangle is built a row at a time and kept. weighted_stirling1/2
@@ -25,14 +26,12 @@ per-entry object.
 from __future__ import annotations
 
 import threading
-from math import comb
 from typing import NamedTuple
 
 from .core import ParamPoly
 
 __all__ = [
     "WeightedStirling",
-    "carlitz_expand",
     "stirling1",
     "stirling2",
     "substitute_weight",
@@ -152,18 +151,6 @@ def weighted_stirling1(n: int, m: int) -> WeightedStirling:
 
 def weighted_stirling2(n: int, m: int) -> WeightedStirling:
     return _weighted(n, m, second=True)
-
-
-def carlitz_expand(n: int, m: int) -> WeightedStirling:
-    """First-kind weight polynomial assembled from unweighted numbers:
-
-        sum_i C(m+i, i) stirling1(n, m+i) x^i
-
-    The sum ends at i = n - m, past which S1 vanishes, on C(n, m) != 0.
-    """
-    _check_indices(n, m)
-    coeffs = [comb(m + i, i) * stirling1(n, m + i) for i in range(n - m + 1)]
-    return WeightedStirling(n, m, "first", tuple(coeffs))
 
 
 def substitute_weight(w: WeightedStirling, sign: int) -> ParamPoly:

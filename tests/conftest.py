@@ -3,8 +3,9 @@
 so `python3 -m pytest` works from a checkout without installing the package.
 
 The fresh_caches fixture gives the identity and generating-function tables
-empty caches of their own for one test; bump_weight plants a fault in the
-weighted Stirling rows that one module reads."""
+empty caches of their own for one test, and empties the families' t-basis
+caches before and after it; bump_weight plants a fault in the weighted
+Stirling rows that one module reads."""
 
 import os
 from functools import lru_cache
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import qpoly.families as families
 import qpoly.identities as identities
 import qpoly.series as series
 
@@ -53,9 +55,22 @@ def bump_weight(monkeypatch, module, n, m, second):
     monkeypatch.setattr(module, "_weighted_row", bumped)
 
 
+def clear_t_basis():
+    """Empty families' _t_rows and family_t in place: other modules import
+    them by name, so a rebound name would not reach them."""
+    families._t_rows.cache_clear()
+    families.family_t.cache_clear()
+
+
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty caches for the tables for this test; calling the fixture's
-    value empties them again."""
-    use_fresh_caches(monkeypatch)
-    return lambda: use_fresh_caches(monkeypatch)
+    """Empty caches for the tables for this test, the t-basis caches
+    emptied again when it ends; calling the fixture's value empties them
+    all again."""
+    def fresh():
+        use_fresh_caches(monkeypatch)
+        clear_t_basis()
+
+    fresh()
+    yield fresh
+    clear_t_basis()

@@ -210,6 +210,34 @@ def weighted_s1_row(n, x):
     return row
 
 
+def carlitz_s1_row(n):
+    """Row n of the first-kind weighted triangle by Carlitz's expansion
+    over the unsigned numbers, S1(n, m, x) = sum_i C(m+i, i) S1(n, m+i) x^i:
+    entry m lists its n - m + 1 coefficients ascending in x."""
+    s1 = [int(c) for c in weighted_s1_row(n, 0)]
+    return tuple(tuple(comb(m + i, i) * s1[m + i] for i in range(n - m + 1))
+                 for m in range(n + 1))
+
+
+def cauchy_double_sum_rows(family, n):
+    """A Cauchy family's double sum over the unsigned first-kind numbers,
+
+        sign * sum_m S1(n, m) rho^(n-m) sum_i C(m, i) (-z)^i t_(m-i),
+
+    sign (-1)^(n-m) for polyCauchy1 and (-1)^n for polyCauchy2, as t-basis
+    rows: entry j lists the coefficients of rho^(n-j-b) z^b, b = 0..n-j.
+    Its value at any q and k is sum_j t_j times entry j, t_j = [j+1]_q^(-k).
+    """
+    sign_by_m = {"polyCauchy1": True, "polyCauchy2": False}[family]
+    s1 = [int(c) for c in weighted_s1_row(n, 0)]
+    rows = [[0] * (n - j + 1) for j in range(n + 1)]
+    for m in range(n + 1):
+        outer = (-1) ** (n - m if sign_by_m else n) * s1[m]
+        for i in range(m + 1):
+            rows[m - i][i] += outer * comb(m, i) * (-1) ** i
+    return tuple(tuple(row) for row in rows)
+
+
 def weighted_s1_poly(n, m):
     """S1(n, m, x) as a list of Fraction coefficients in x.
 

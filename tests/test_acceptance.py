@@ -11,11 +11,12 @@ import sys
 from fractions import Fraction as F
 
 import oracles as O
+import qpoly.families as families
+import qpoly.stirling as stirling
 from qpoly import (
     FAMILIES,
     OracleConfig,
     ParamPoly,
-    carlitz_expand,
     check_orthogonality,
     classical_number,
     egf_coefficient,
@@ -27,8 +28,6 @@ from qpoly import (
     gf_weighted_stirling,
     jackson_integral_1d,
     oracle_family,
-    poly_cauchy1_double_sum,
-    poly_cauchy2_double_sum,
     q_number,
     run_identity_sweep,
     weighted_stirling1,
@@ -70,9 +69,8 @@ def test_criterion_2_weighted_stirling_layer():
                 if egf_coefficient(s, n) != table(n, m).as_param_poly():
                     bad.append(("gf", kind, n, m))
     for n in range(13):
-        for m in range(n + 1):
-            if carlitz_expand(n, m) != weighted_stirling1(n, m):
-                bad.append(("carlitz", n, m))
+        if stirling._weighted_row(n, False) != O.carlitz_s1_row(n):
+            bad.append(("carlitz", n))
     for n in range(11):
         for r in check_orthogonality(n):
             if r.status != "verified":
@@ -96,7 +94,7 @@ def test_criterion_2_weighted_stirling_layer():
     _verdict(not bad,
              "criterion 2: recurrence tables = series extraction (n <= 12), "
              "orthogonality + inverse pair exact in the weight (n <= 10), "
-             "product expansion = weighted tables (n <= 12)%s"
+             "Carlitz's expansion over the usual S1 = weighted rows (n <= 12)%s"
              % ("" if not bad else "; first failure %r" % (bad[0],)))
 
 
@@ -156,18 +154,13 @@ def test_criterion_5_jackson_oracle():
 
 
 def test_criterion_6_two_sum_forms_agree():
-    bad = []
-    for k in K_RANGE:
-        for n in range(9):
-            if poly_cauchy1_double_sum(n, k) != family_value(
-                    "polyCauchy1", n, k):
-                bad.append(("polyCauchy1", n, k))
-            if poly_cauchy2_double_sum(n, k) != family_value(
-                    "polyCauchy2", n, k):
-                bad.append(("polyCauchy2", n, k))
+    # equal t-basis rows make the two forms equal at every k and q
+    bad = [(fam, n) for fam in ("polyCauchy1", "polyCauchy2")
+           for n in range(21)
+           if families._t_rows(fam, n) != O.cauchy_double_sum_rows(fam, n)]
     _verdict(not bad,
-             "criterion 6: double-sum and weighted-table forms agree "
-             "exactly, n <= 8, k in -2..3%s"
+             "criterion 6: double sums over the usual S1 and weighted-table "
+             "forms agree as t-basis rows, n <= 20, every k and q%s"
              % ("" if not bad else "; first failure %r" % (bad[0],)))
 
 

@@ -240,14 +240,8 @@ def test_a_planted_closed_form_fault_fails_the_same_records(
     # the true table, so 90 records fail across the Cauchy-type gf matches,
     # T5_202/203, T6 and T7_1-4; the whole stdout, witnesses included, is
     # pinned
-    families.family_t.cache_clear()
-    families._t_rows.cache_clear()
     bump_weight(monkeypatch, families, 6, 3, second=False)
-    try:
-        code, out = run_cli(capsys, "verify", "--nmax", "10", "--k=-1,1")
-    finally:
-        families.family_t.cache_clear()
-        families._t_rows.cache_clear()
+    code, out = run_cli(capsys, "verify", "--nmax", "10", "--k=-1,1")
     assert code == 1
     failed = [json.loads(line) for line in out.splitlines()
               if json.loads(line)["status"] == "failed"]
@@ -285,8 +279,6 @@ def test_verify_never_enters_the_q_kernel(monkeypatch, capsys, fresh_caches,
     def refuse(*args):
         raise AssertionError("verification entered the q-kernel")
 
-    families.family_t.cache_clear()
-    families._t_rows.cache_clear()
     monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
     for name in ("__init__", "__mul__", "__add__"):
         monkeypatch.setattr(QRat, name, refuse)
@@ -363,7 +355,8 @@ def test_value_stdout_is_pinned(capsys, mode):
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_VALUES))
-def test_values_never_enter_the_q_kernel(monkeypatch, capsys, mode):
+def test_values_never_enter_the_q_kernel(monkeypatch, capsys, fresh_caches,
+                                         mode):
     # a value is specialized from q-free t-basis terms, each a constant
     # over a q-number power or a q-number power alone, so printing it needs
     # no gcd, no QRat sum and no product of two QRats
@@ -377,7 +370,6 @@ def test_values_never_enter_the_q_kernel(monkeypatch, capsys, mode):
             refuse()
         return true_mul(self, other)
 
-    families.family_t.cache_clear()
     monkeypatch.setattr(QPoly, "gcd", staticmethod(refuse))
     monkeypatch.setattr(QRat, "__add__", refuse)
     monkeypatch.setattr(QRat, "__mul__", scalar_mul_only)
@@ -1005,6 +997,47 @@ def test_a_huge_decimal_exponent_is_decided_as_a_float(capsys, argv, flag):
     assert (_timed_main(argv + ["%s=%s" % (flag, TINY)]),
             capsys.readouterr().out) == (code, out)
     assert code == 0 and "-0.0" in out
+
+
+# more digits than int() reads at Python's default limit of 4,300
+LONG = "0." + "1" * 4400
+
+
+def test_a_decimal_past_int_digits_rounds_as_its_float(capsys):
+    argv = VALUE_ARGS + ["--n", "1", "--q", "0.5", "--rho"]
+    code, out = run_cli(capsys, *argv, LONG)
+    assert (code, out) == run_cli(capsys, *argv, repr(float(LONG)))
+    assert json.loads(out)["vars"]["rho"] == float(LONG)
+
+
+def test_an_exact_decimal_past_int_digits_meets_the_size_rule(
+        monkeypatch, capsys):
+    argv = VALUE_ARGS + ["--n", "1", "--at-q1", "--rho"]
+    # its exact value is short: it prints as 1/2 does
+    assert run_cli(capsys, *argv, "0.5" + "0" * 4400) == run_cli(
+        capsys, *argv, "1/2")
+    _refuse_builds(monkeypatch)
+    assert main(argv + [LONG]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: --rho %s...: values up to n = 1 would have about 8807 "
+        "digits, past the %d that Python prints\n"
+        % (LONG[:40], sys.get_int_max_str_digits()))
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode, text, why", [
+    ("--at-q1", "abc" * 2000, "is not a fraction or decimal"),
+    ("--q=0.5", "1" * 5000 + "e400", "is past the float range"),
+    ("--at-q1", "1/0" + " " * 5000, "has a zero denominator"),
+], ids=["not-a-number", "past-the-float-range", "zero-denominator"])
+def test_a_refusal_echoes_a_short_prefix_of_the_point(monkeypatch, capsys,
+                                                      mode, text, why):
+    _refuse_builds(monkeypatch)
+    assert main(VALUE_ARGS + ["--n", "1", mode, "--rho", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --rho %s... %s\n" % (text[:40], why)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

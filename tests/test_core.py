@@ -503,18 +503,16 @@ def test_eval_numeric_matches_the_per_term_sum_bit_for_bit():
 # purpose
 PUBLIC_NAMES = """
 DenominatorVanishes FAMILIES IDENTITY_IDS IdentityReport NonZeroConstantTerm
-NonconvergedTruncation OracleConfig ParamPoly QPoly QRat QuadResult
-TruncSeries WeightedStirling carlitz_expand check_inverse_relations
-check_kind_reciprocity check_mixed_expansions check_orthogonality
-classical_number egf_coefficient eval_numeric family_gf family_gf_t
-family_t family_value format_param_poly format_qpoly gf_poly_bernoulli
-gf_poly_cauchy1 gf_poly_cauchy2 gf_weighted_stirling jackson_integral_1d
-latex_param_poly latex_qrat oracle_family parse_param_poly parse_qpoly
-poly_bernoulli poly_cauchy1 poly_cauchy1_double_sum poly_cauchy2
-poly_cauchy2_double_sum q_number q_number_power_inverse report_record
-reports_to_json_lines run_gf_sweep run_identity_sweep series_compose
-specialize stirling1 stirling2 substitute_weight weighted_stirling1
-weighted_stirling2
+NonconvergedTruncation OracleConfig ParamPoly QPoly QRat QuadResult TruncSeries
+WeightedStirling check_inverse_relations check_kind_reciprocity
+check_mixed_expansions check_orthogonality classical_number egf_coefficient
+eval_numeric family_gf family_gf_t family_t family_value format_param_poly
+format_qpoly gf_poly_bernoulli gf_poly_cauchy1 gf_poly_cauchy2
+gf_weighted_stirling jackson_integral_1d latex_param_poly latex_qrat
+oracle_family parse_param_poly parse_qpoly poly_bernoulli poly_cauchy1
+poly_cauchy2 q_number q_number_power_inverse report_record
+reports_to_json_lines run_gf_sweep run_identity_sweep series_compose specialize
+stirling1 stirling2 substitute_weight weighted_stirling1 weighted_stirling2
 """.split()
 
 

@@ -8,6 +8,7 @@ import pytest
 import oracles as O
 import qpoly.families as families
 import qpoly.identities as identities
+from conftest import bump_weight
 from qpoly import (
     FAMILIES,
     ParamPoly,
@@ -19,9 +20,7 @@ from qpoly import (
     format_param_poly,
     poly_bernoulli,
     poly_cauchy1,
-    poly_cauchy1_double_sum,
     poly_cauchy2,
-    poly_cauchy2_double_sum,
     specialize,
     substitute_weight,
     weighted_stirling1,
@@ -221,7 +220,8 @@ def test_t_basis_is_q_free_and_specialize_binds_q():
             assert _kinds([specialize(gf[4], k)]) == {QRat}
 
 
-def test_a_row_weight_past_its_degree_bound_is_refused(monkeypatch):
+def test_a_row_weight_past_its_degree_bound_is_refused(monkeypatch,
+                                                       fresh_caches):
     # the row path keeps the entry path's degree check: S1(3, 3, x) = 1
     # read as 1 + x would give P_{3,3} a rho^-1 term
     true_row = families._weighted_row
@@ -230,13 +230,9 @@ def test_a_row_weight_past_its_degree_bound_is_refused(monkeypatch):
         row = true_row(n, second)
         return row[:n] + (row[n] + (1,),)
 
-    families._t_rows.cache_clear()
     monkeypatch.setattr(families, "_weighted_row", padded)
-    try:
-        with pytest.raises(ValueError, match="exceeds"):
-            families._t_rows("polyCauchy1", 3)
-    finally:
-        families._t_rows.cache_clear()
+    with pytest.raises(ValueError, match="exceeds"):
+        families._t_rows("polyCauchy1", 3)
 
 
 def test_specialize_looks_up_no_t_m_for_empty_terms(monkeypatch):
@@ -249,11 +245,14 @@ def test_specialize_looks_up_no_t_m_for_empty_terms(monkeypatch):
         assert specialize((ParamPoly.zero(),) * 5, k).is_zero()
 
 
-def test_two_forms_agree():
-    for k in range(-2, 4):
-        for n in range(7):
-            assert poly_cauchy1_double_sum(n, k) == poly_cauchy1(n, k)
-            assert poly_cauchy2_double_sum(n, k) == poly_cauchy2(n, k)
+def test_the_double_sum_rows_catch_a_planted_closed_form_fault(
+        monkeypatch, fresh_caches):
+    # S1(6, 3, x) with its constant coefficient bumped by 1, read by the
+    # closed forms alone: criterion 6's row check fails at n = 6 only
+    bump_weight(monkeypatch, families, 6, 3, second=False)
+    for fam in ("polyCauchy1", "polyCauchy2"):
+        assert families._t_rows(fam, 5) == O.cauchy_double_sum_rows(fam, 5)
+        assert families._t_rows(fam, 6) != O.cauchy_double_sum_rows(fam, 6)
 
 
 def test_family_value_dispatch_and_errors():

@@ -9,7 +9,6 @@ from math import factorial
 import pytest
 
 import oracles as O
-import qpoly.families as families
 import qpoly.identities as identities
 import qpoly.series as series
 import qpoly.stirling as stirling
@@ -296,14 +295,8 @@ def test_a_cold_identity_sweep_builds_no_weighted_stirling(monkeypatch,
         calls.append(args)
         return true_weighted(*args, **kwargs)
 
-    families.family_t.cache_clear()
-    families._t_rows.cache_clear()
     monkeypatch.setattr(stirling, "_weighted", counted)
-    try:
-        reports = run_identity_sweep()
-    finally:
-        families.family_t.cache_clear()
-        families._t_rows.cache_clear()
+    reports = run_identity_sweep()
     assert {r.status for r in reports} == {"verified"}
     assert calls == []
 

@@ -1,14 +1,19 @@
 """Source hygiene: every name a module of the package imports is used,
-every module-level private name is read, and every module parses as the
-oldest supported Python."""
+every module-level private name is read, every exported def or class has
+a reader outside the tests, and every module parses as the oldest
+supported Python."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qpoly"
+import qpoly
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qpoly"
 SOURCES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # __init__.py imports to re-export, so it is left out
 MODULES = [name for name in SOURCES if name != "__init__.py"]
@@ -69,6 +74,50 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                        if name.startswith("_") and not name.startswith("__")
                        and reads[name] == own[name]]
     return unread
+
+
+def unread_public_names(sources: dict[str, str], texts: list[str],
+                        exported: set[str]) -> list[str]:
+    """'module:name' for each module-level def or class of sources named in
+    exported that no code of sources outside its own definition reads and
+    no text names as a word, in source order."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    named = {word for text in texts for word in re.findall(r"\w+", text)}
+    return ["%s:%s" % (module, node.name)
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name in exported and node.name not in named
+            and reads[node.name] == Counter(_reads(node))[node.name]]
+
+
+def test_every_exported_def_has_a_reader():
+    # the demos, the benchmark (whose TARGETS name what they trace) and the
+    # README are read as text
+    texts = [path.read_text(encoding="utf-8") for path in
+             sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").rglob("*.py"))
+             + [ROOT / "README.md"]]
+    assert len(texts) > 5
+    assert unread_public_names({module: (PACKAGE / module).read_text()
+                                for module in SOURCES},
+                               texts, set(qpoly.__all__)) == []
+
+
+def test_the_check_finds_an_unread_exported_def():
+    assert unread_public_names({
+        "a.py": "def used():\n    pass\n\n"
+                "def recursive(n):\n    return recursive(n - 1)\n\n"
+                "def documented():\n    pass\n\n"
+                "class Orphan:\n    pass\n\n"
+                "def unexported():\n    pass\n\n"
+                "LIMIT = 1\n__all__ = ['used', 'recursive', 'documented',"
+                " 'Orphan', 'LIMIT']\n",
+        "b.py": "from a import used\n",
+    }, ["`documented` is named here", "# Orphans"],
+        {"used", "recursive", "documented", "Orphan", "LIMIT"}) == [
+        "a.py:recursive", "a.py:Orphan"]
 
 
 def test_every_private_name_is_read():

@@ -7,9 +7,10 @@ from math import comb
 import pytest
 
 import oracles as O
+import qpoly.stirling as stirling
+from conftest import bump_weight
 from qpoly import (
     ParamPoly,
-    carlitz_expand,
     stirling1,
     stirling2,
     substitute_weight,
@@ -124,16 +125,12 @@ def test_weighted_entry_construction_equality_and_hashing():
 
 # --- Carlitz expansion ------------------------------------------------------
 
-def test_carlitz_expansion_equals_weighted_first_kind():
-    for n in range(13):
-        for m in range(n + 1):
-            assert carlitz_expand(n, m) == weighted_stirling1(n, m)
-
-
-def test_carlitz_expansion_past_the_row_needs_no_special_case():
-    # m > n: the sum over i is empty and trims to the zero polynomial
-    assert carlitz_expand(3, 5) == WeightedStirling(3, 5, "first", ())
-    assert carlitz_expand(0, 1) == weighted_stirling1(0, 1)
+def test_the_carlitz_rows_catch_a_planted_fault(monkeypatch, fresh_caches):
+    # S1(6, 3, x) with its constant coefficient bumped by 1, read by the
+    # stirling module: criterion 2's Carlitz check fails at n = 6 only
+    bump_weight(monkeypatch, stirling, 6, 3, second=False)
+    assert stirling._weighted_row(5, False) == O.carlitz_s1_row(5)
+    assert stirling._weighted_row(6, False) != O.carlitz_s1_row(6)
 
 
 # --- orthogonality, oracle level --------------------------------------------
