@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -78,8 +79,7 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _config_value(key: str, value: str):
-    """One config value, parsed and held to its key's bound or oracle
-    rule."""
+    """One config value, parsed and held to its key's bound or rule."""
     if key == "k_range":
         lo, hi = _parse_k_range(value)
         _check_bounds(key, -K_LIMIT, K_LIMIT, lo, hi)
@@ -113,8 +113,7 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError("%s:%d: expected key = value" % (path, lineno))
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if key not in cfg:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
             try:
@@ -191,9 +190,10 @@ def _eval_point(args, n: int) -> tuple:
 
     A decimal exponent past the text's length plus FLOAT_EXPONENT (--q) or
     the print limit (exact) is first cut to just past it (_huge_exponent),
-    so 10^|e| is never built. An exact point is refused when values up to
-    order n, of degree n in rho and z, may hold an int longer than Python
-    prints: about n times the point's digits plus the family's own
+    so 10^|e| is never built; Decimal reads the text, in Fraction's form,
+    past the digits int() reads. An exact point is refused when values up
+    to order n, of degree n in rho and z, may hold an int longer than
+    Python prints: about n times the point's digits plus the family's own
     (OWN_DIGITS_PER_ORDER). A nonzero cut point counts the digits that its
     exponent as written gives at least ("over"), always past the limit."""
     numeric = args.q is not None
@@ -210,11 +210,10 @@ def _eval_point(args, n: int) -> tuple:
             # an exponent just past the bound gives the same float or refusal
             cut = "%se%d" % (huge[0], (len(text) + limit + 1) * (
                 1 if huge[1] > 0 else -1)) if huge else text
-            try:
-                value = Fraction(cut)
-            except ValueError:   # more digits than int() reads: Decimal
-                exact = Decimal(cut)
-                value = Fraction(exact if exact.is_finite() else cut)
+            # Fraction's form (digit runs cut to one digit), read by Decimal
+            Fraction(re.sub(r"\d+", "1", text))
+            num, _, den = cut.partition("/")
+            value = Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
             point[flag] = float(value) if numeric else value
         except ZeroDivisionError:
             raise ValueError(shown + " has a zero denominator") from None
@@ -391,8 +390,7 @@ def _cmd_oracle(args, out) -> int:
     _check_bounds("--k", 1, K_LIMIT, args.k)
     cfg = _get_config(args)
     rho, z = _eval_point(args, args.n)
-    ocfg = OracleConfig(q=args.q, truncation=cfg["oracle_truncation"],
-                        tolerance=cfg["tolerance"])
+    ocfg = OracleConfig(args.q, cfg["oracle_truncation"], cfg["tolerance"])
     # a value past the float range is refused before the closed form is built
     numeric = oracle_family(args.family, args.n, args.k, rho, z, ocfg)
     closed = eval_numeric(specialize(family_t(args.family, args.n), args.k),

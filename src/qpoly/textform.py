@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import _EXPONENT_SLOTS, ParamPoly, QPoly, QRat
@@ -42,6 +43,7 @@ _VAR_RE = re.compile(r"\*(rho|z|y)\^([0-9]+)")
 # every term starts with "(", and inside a term's parentheses " + " is
 # followed by a digit or "-", so this splits only between terms
 _TERM_SPLIT_RE = re.compile(r" \+ (?=\()")
+_EXPONENT_RE = re.compile(r"[-+]?\d+(?:_\d+)*\s*")   # as Fraction reads it
 
 
 def _print_limit() -> int:
@@ -52,12 +54,13 @@ def _print_limit() -> int:
 
 def _huge_exponent(text: str, limit: int) -> tuple[str, int] | None:
     """(head, e) for a decimal "<head>e<e>" with |e| past len(text) + limit,
-    else None: Fraction(text) builds 10^|e|, minutes at e = 10^8."""
+    else None: Fraction(text) builds 10^|e|, minutes at e = 10^8. Decimal
+    reads e past int()'s digit limit (leading zeros count toward it), and
+    |e| is cut to 10^18, past any bound but printable."""
     head, _, tail = text.replace("E", "e").rpartition("e")
-    try:
-        e = int(tail) if head else 0
-    except ValueError:      # not a decimal, which Fraction refuses
-        return None
+    if not (head and _EXPONENT_RE.fullmatch(tail)):
+        return None     # not a decimal, or no exponent: Fraction decides
+    e = int(max(-10 ** 18, min(Decimal(tail), 10 ** 18)))
     return (head, e) if abs(e) > len(text) + limit else None
 
 

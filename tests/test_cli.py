@@ -923,6 +923,14 @@ def test_an_exact_point_just_inside_the_print_limit_prints(capsys):
 
 
 HUGE, TINY = "1e99999999", "-1e-99999999"
+# the same exponents behind more leading zeros than int() reads
+PADDED_HUGE = "1e" + "0" * 4400 + "99999999"
+PADDED_TINY = "-1e-" + "0" * 4400 + "99999999"
+
+
+def _shown(text):
+    # a refusal echoes at most the first 40 characters of a point
+    return text if len(text) <= 40 else text[:40] + "..."
 ORACLE_ARGS = ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
                "--q", "0.5"]
 
@@ -944,8 +952,12 @@ def _timed_main(argv):
     (TABLE_ARGS + ["--at-q1", "--z", HUGE], "--z " + HUGE, None),
     # with Python's print limit off, an exact value is held to its default
     (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE, 0),
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", PADDED_HUGE],
+     "--rho " + _shown(PADDED_HUGE), None),
+    (TABLE_ARGS + ["--at-q1", "--z=" + PADDED_TINY],
+     "--z " + _shown(PADDED_TINY), None),
 ], ids=["value-huge", "value-tiny", "table-tiny", "table-huge",
-        "value-huge-no-limit"])
+        "value-huge-no-limit", "value-padded-huge", "table-padded-tiny"])
 def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
                                                        argv, where, limit):
     _refuse_builds(monkeypatch)
@@ -980,23 +992,37 @@ def test_a_huge_exponent_of_zero_reads_as_zero_when_exact(capsys, zero):
             capsys.readouterr().out) == (code, out)
 
 
-@pytest.mark.parametrize("argv", [
+FLOAT_ARGVS = pytest.mark.parametrize("argv", [
     VALUE_ARGS + ["--n", "3", "--q", "0.5"],
     TABLE_ARGS + ["--q", "0.5", "--format", "json"], ORACLE_ARGS],
     ids=["value", "table", "oracle"])
-@pytest.mark.parametrize("flag", ["--rho", "--z"])
-def test_a_huge_decimal_exponent_is_decided_as_a_float(capsys, argv, flag):
+
+
+def _decided_as_a_float(capsys, argv, flag, huge, tiny):
     # past the float range is refused; below it rounds to -0.0, as the
     # float of -1e-330 does
-    assert _timed_main(argv + [flag, HUGE]) == 2
+    assert _timed_main(argv + [flag, huge]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: %s %s is past the float range\n" % (
-        flag, HUGE)
+        flag, _shown(huge))
     assert captured.out == ""
     code, out = run_cli(capsys, *argv, "%s=-1e-330" % flag)
-    assert (_timed_main(argv + ["%s=%s" % (flag, TINY)]),
+    assert (_timed_main(argv + ["%s=%s" % (flag, tiny)]),
             capsys.readouterr().out) == (code, out)
     assert code == 0 and "-0.0" in out
+
+
+@FLOAT_ARGVS
+@pytest.mark.parametrize("flag", ["--rho", "--z"])
+def test_a_huge_decimal_exponent_is_decided_as_a_float(capsys, argv, flag):
+    _decided_as_a_float(capsys, argv, flag, HUGE, TINY)
+
+
+@FLOAT_ARGVS
+@pytest.mark.parametrize("flag", ["--rho", "--z"])
+def test_a_padded_huge_decimal_exponent_is_decided_as_a_float(capsys, argv,
+                                                              flag):
+    _decided_as_a_float(capsys, argv, flag, PADDED_HUGE, PADDED_TINY)
 
 
 # more digits than int() reads at Python's default limit of 4,300
@@ -1026,11 +1052,35 @@ def test_an_exact_decimal_past_int_digits_meets_the_size_rule(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode", ["--at-q1", "--q=0.5"])
+def test_a_fraction_past_int_digits_reads_as_its_value(capsys, mode):
+    argv = VALUE_ARGS + ["--n", "1", mode, "--rho"]
+    long_third = "1" + "0" * 4400 + "/3" + "0" * 4400
+    assert run_cli(capsys, *argv, long_third) == run_cli(capsys, *argv, "1/3")
+
+
+@pytest.mark.parametrize("mode", ["--at-q1", "--q=0.5"])
+@pytest.mark.parametrize("text", ["_1", "1__0", "1e5_", "1/_3", LONG + "_"],
+                         ids=["lead", "double", "exponent", "denominator",
+                              "past-int-digits"])
+def test_a_text_that_fraction_refuses_is_refused_past_int_digits(
+        monkeypatch, capsys, mode, text):
+    # Decimal reads each of these, but none is in the form Fraction reads
+    _refuse_builds(monkeypatch)
+    assert main(VALUE_ARGS + ["--n", "1", mode, "--rho", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --rho %s is not a fraction or decimal\n" % (
+        _shown(text))
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode, text, why", [
     ("--at-q1", "abc" * 2000, "is not a fraction or decimal"),
     ("--q=0.5", "1" * 5000 + "e400", "is past the float range"),
     ("--at-q1", "1/0" + " " * 5000, "has a zero denominator"),
-], ids=["not-a-number", "past-the-float-range", "zero-denominator"])
+    ("--q=0.5", "1/" + "0" * 5000, "has a zero denominator"),
+], ids=["not-a-number", "past-the-float-range", "zero-denominator",
+        "zero-denominator-past-int-digits"])
 def test_a_refusal_echoes_a_short_prefix_of_the_point(monkeypatch, capsys,
                                                       mode, text, why):
     _refuse_builds(monkeypatch)
