@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,8 +22,7 @@ from .core import DenominatorVanishes, ParamPoly, eval_numeric
 from .families import FAMILIES, family_t, specialize
 from .identities import report_record, run_gf_sweep, run_identity_sweep
 from .jackson import NonconvergedTruncation, OracleConfig, oracle_family
-from .textform import (_huge_exponent, _print_limit, format_param_poly,
-                       latex_param_poly)
+from .textform import format_param_poly, latex_param_poly
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
 
@@ -54,9 +52,10 @@ TRUNCATION_LIMIT = 10_000
 # Digits per order n that a family's own coefficients add to an exact value
 # at q = 1: at most 5.4 for |k| <= K_LIMIT, n <= N_LIMIT and rho, z = +-1.
 OWN_DIGITS_PER_ORDER = 6
-# A --rho/--z decimal exponent this far past the text's length puts a value
-# past the float range (10^308), or below it (10^-324) to round to zero.
-FLOAT_EXPONENT = 400
+# The longest --rho/--z text read: int()'s 4,300-digit limit cannot bite
+# below it, so Fraction reads every point once its exponent is cut.
+POINT_LIMIT = 100
+_EXPONENT_RE = re.compile(r"[-+]?\d+(?:_\d+)*\s*")   # as Fraction reads it
 
 
 def _check_bounds(flag: str, lo: int, hi: int, *values: int) -> None:
@@ -130,14 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact q-analog polynomial families: tables, values, "
                     "verification sweeps and the numeric integral oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
+    point = "fraction or decimal of at most %d characters" % POINT_LIMIT
 
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rho", default=None,
-                       help="rho value as a fraction or decimal, e.g. 1/2; "
-                            "rounded to a float with --q")
-        p.add_argument("--z", default=None,
-                       help="z value as a fraction or decimal, e.g. 1/3; "
-                            "rounded to a float with --q")
+        p.add_argument("--rho", default=None, help="rho value as a %s, e.g. "
+                       "1/2; rounded to a float with --q" % point)
+        p.add_argument("--z", default=None, help="z value as a %s, e.g. "
+                       "1/3; rounded to a float with --q" % point)
         p.add_argument("--q", type=float, default=None,
                        help="numeric q in (0, 1); switches to float evaluation")
         p.add_argument("--at-q1", action="store_true",
@@ -172,11 +170,26 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--k", type=int, required=True)
     o.add_argument("--q", type=float, required=True)
-    o.add_argument("--rho", help="fraction or decimal, e.g. 1/2; default 1")
-    o.add_argument("--z", help="fraction or decimal, e.g. 1/3; default 0")
+    o.add_argument("--rho", help="%s, e.g. 1/2; default 1" % point)
+    o.add_argument("--z", help="%s, e.g. 1/3; default 0" % point)
     o.add_argument("--config", default=None)
     o.set_defaults(at_q1=False)
     return parser
+
+
+def _cut_exponent(text: str, limit: int) -> tuple[str, int]:
+    """(text, 0), or for a text "<head>e<e>" with |e| past len(text) +
+    limit, the text with e cut to just past that bound and the digits |e|
+    gives past the text's length: Fraction(text) builds 10^|e|, minutes at
+    e = 10^8. The cut value still overflows a float or rounds to +-0.0."""
+    head, _, tail = text.replace("E", "e").rpartition("e")
+    if not (head and _EXPONENT_RE.fullmatch(tail)):
+        return text, 0      # no exponent: Fraction decides
+    e, bound = int(tail), len(text) + limit
+    if abs(e) <= bound:
+        return text, 0
+    cut = bound + 1 if e > 0 else -bound - 1
+    return "%se%d" % (head, cut), abs(e) - len(text)
 
 
 def _get_config(args) -> dict:
@@ -188,42 +201,42 @@ def _eval_point(args, n: int) -> tuple:
     floats rounded as float(text) rounds. Every flag error is raised here,
     before any output; n is the largest order that will be evaluated.
 
-    A decimal exponent past the text's length plus FLOAT_EXPONENT (--q) or
-    the print limit (exact) is first cut to just past it (_huge_exponent),
-    so 10^|e| is never built; Decimal reads the text, in Fraction's form,
-    past the digits int() reads. An exact point is refused when values up
-    to order n, of degree n in rho and z, may hold an int longer than
-    Python prints: about n times the point's digits plus the family's own
-    (OWN_DIGITS_PER_ORDER). A nonzero cut point counts the digits that its
-    exponent as written gives at least ("over"), always past the limit."""
+    A text longer than POINT_LIMIT is refused unread. The limit is Python's
+    print limit held to its default 4,300 digits; an exponent e past
+    the text's length plus it is cut (_cut_exponent), so 10^|e| is never
+    built. An exact point is refused when values up to order n, of degree
+    n in rho and z, may hold an int longer than the limit: about n times
+    the point's digits plus the family's own (OWN_DIGITS_PER_ORDER). A
+    nonzero cut point counts the digits that its exponent as written gives
+    at least ("over"), always past the limit."""
     numeric = args.q is not None
     if args.at_q1 and numeric:
         raise ValueError("--at-q1 and --q are mutually exclusive")
-    limit = FLOAT_EXPONENT if numeric else _print_limit()
+    limit = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300,
+                4300)
     point, given, digits, cut_digits = {}, [], 0, 0
     for flag, text in (("--rho", args.rho), ("--z", args.z)):
         if text is None:
             continue
-        huge = _huge_exponent(text, limit)
-        shown = "%s %.40s%s" % (flag, text, "..." * (len(text) > 40))
+        if len(text) > POINT_LIMIT:
+            raise ValueError("%s has %d characters, past the %d a point may "
+                             "have" % (flag, len(text), POINT_LIMIT))
+        cut, over = _cut_exponent(text, limit)
+        shown = "%s %s" % (flag, text)
         try:
-            # an exponent just past the bound gives the same float or refusal
-            cut = "%se%d" % (huge[0], (len(text) + limit + 1) * (
-                1 if huge[1] > 0 else -1)) if huge else text
-            # Fraction's form (digit runs cut to one digit), read by Decimal
-            Fraction(re.sub(r"\d+", "1", text))
-            num, _, den = cut.partition("/")
-            value = Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
+            if over:    # Fraction's form: the cut text has no "_" to refuse
+                Fraction(re.sub(r"\d+", "1", text))
+            value = Fraction(cut)
             point[flag] = float(value) if numeric else value
         except ZeroDivisionError:
             raise ValueError(shown + " has a zero denominator") from None
         except OverflowError:
             raise ValueError(shown + " is past the float range") from None
-        except (ValueError, InvalidOperation):
+        except ValueError:
             raise ValueError(shown + " is not a fraction or decimal") from None
         given.append(shown)
-        if huge and value:
-            cut_digits += abs(huge[1]) - len(text)
+        if over and value:
+            cut_digits += over
         else:   # by bit length, at most one over: str may pass the limit
             digits += sum(int(i.bit_length() * 0.30103) + 1
                           for i in (abs(value.numerator), value.denominator))

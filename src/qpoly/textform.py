@@ -11,18 +11,17 @@ The canonical text is deterministic and round-trips exactly:
   terms are joined by " + " in ascending (a, b, c) order, and the zero
   value is "0".
 
-parse_* also accept non-canonical input and normalize it: q-powers,
-variables and terms in any order or repeated (they add up), coefficients
-in any spelling Fraction(str) reads ("2/4", "3.0", "1e3"; an exponent
-past the print limit is refused), denominators that are not monic, and
-pairs that are not reduced, which QRat cancels with the PRS gcd.
+parse_* read a coefficient as int() reads it ("7", "-0", "+3", "1_0"), or
+as two such ints around "/" ("2/4"), and nothing else ("3.0" and "1e3"
+are refused). They also accept non-canonical input and normalize it:
+q-powers, variables and terms in any order or repeated (they add up),
+denominators that are not monic, and pairs that are not reduced, which
+QRat cancels with the PRS gcd.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .core import _EXPONENT_SLOTS, ParamPoly, QPoly, QRat
@@ -43,25 +42,6 @@ _VAR_RE = re.compile(r"\*(rho|z|y)\^([0-9]+)")
 # every term starts with "(", and inside a term's parentheses " + " is
 # followed by a digit or "-", so this splits only between terms
 _TERM_SPLIT_RE = re.compile(r" \+ (?=\()")
-_EXPONENT_RE = re.compile(r"[-+]?\d+(?:_\d+)*\s*")   # as Fraction reads it
-
-
-def _print_limit() -> int:
-    """The most digits Python prints of an int; with the limit off (0),
-    its default 4,300, so an exact value stays bounded."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-
-
-def _huge_exponent(text: str, limit: int) -> tuple[str, int] | None:
-    """(head, e) for a decimal "<head>e<e>" with |e| past len(text) + limit,
-    else None: Fraction(text) builds 10^|e|, minutes at e = 10^8. Decimal
-    reads e past int()'s digit limit (leading zeros count toward it), and
-    |e| is cut to 10^18, past any bound but printable."""
-    head, _, tail = text.replace("E", "e").rpartition("e")
-    if not (head and _EXPONENT_RE.fullmatch(tail)):
-        return None     # not a decimal, or no exponent: Fraction decides
-    e = int(max(-10 ** 18, min(Decimal(tail), 10 ** 18)))
-    return (head, e) if abs(e) > len(text) + limit else None
 
 
 def format_qpoly(p: QPoly) -> str:
@@ -78,11 +58,9 @@ def parse_qpoly(text: str) -> QPoly:
         exponent = int(e) if sep else 0
         try:
             c = int(c)
-        except ValueError:
-            # "1/2", "3.0" and "1e3" are rationals int() does not read
-            if _huge_exponent(c, _print_limit()):
-                raise ValueError("exponent too large in %r" % c) from None
-            c = Fraction(c)
+        except ValueError:      # "a/b", as format_qpoly writes a Fraction
+            num, _, den = c.partition("/")
+            c = Fraction(int(num), int(den))
         if exponent == len(out):    # as canonical text has it
             out.append(c)
         elif exponent < 0:

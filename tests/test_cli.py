@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -896,8 +897,9 @@ def test_a_bad_value_names_its_flag(monkeypatch, capsys, argv, where):
 @pytest.mark.parametrize("argv, where", [
     (VALUE_ARGS + ["--n", "50", "--at-q1", "--rho", "1e100", "--z", "1/3"],
      "--rho 1e100 --z 1/3"),
+    # 100 characters: 50 * (1 + 97 + 6) = 5200 estimated digits
     (["table", "polyCauchy1", "--nmax", "50", "--k", "1", "--at-q1",
-      "--z=-1/1" + "0" * 100], "--z -1/1000"),
+      "--z=-1/1" + "0" * 96], "--z -1/1000"),
     # the point alone is past the limit, whatever n
     (VALUE_ARGS + ["--n", "0", "--at-q1", "--rho", "1e5000"], "--rho 1e5000"),
 ])
@@ -923,14 +925,9 @@ def test_an_exact_point_just_inside_the_print_limit_prints(capsys):
 
 
 HUGE, TINY = "1e99999999", "-1e-99999999"
-# the same exponents behind more leading zeros than int() reads
-PADDED_HUGE = "1e" + "0" * 4400 + "99999999"
-PADDED_TINY = "-1e-" + "0" * 4400 + "99999999"
-
-
-def _shown(text):
-    # a refusal echoes at most the first 40 characters of a point
-    return text if len(text) <= 40 else text[:40] + "..."
+# the same exponents behind leading zeros, at POINT_LIMIT characters
+PADDED_HUGE = "1e" + "0" * 90 + "99999999"
+PADDED_TINY = "-1e-" + "0" * 88 + "99999999"
 ORACLE_ARGS = ["oracle", "--family", "polyCauchy1", "--n", "3", "--k", "1",
                "--q", "0.5"]
 
@@ -950,14 +947,18 @@ def _timed_main(argv):
      None),
     (TABLE_ARGS + ["--at-q1", "--rho=" + TINY], "--rho " + TINY, None),
     (TABLE_ARGS + ["--at-q1", "--z", HUGE], "--z " + HUGE, None),
-    # with Python's print limit off, an exact value is held to its default
+    # with Python's print limit off or raised, an exact value is held to its
+    # default, so the exponent cut stays that small
     (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE, 0),
+    (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", HUGE], "--rho " + HUGE,
+     10 ** 8),
     (VALUE_ARGS + ["--n", "3", "--at-q1", "--rho", PADDED_HUGE],
-     "--rho " + _shown(PADDED_HUGE), None),
+     "--rho " + PADDED_HUGE, None),
     (TABLE_ARGS + ["--at-q1", "--z=" + PADDED_TINY],
-     "--z " + _shown(PADDED_TINY), None),
+     "--z " + PADDED_TINY, None),
 ], ids=["value-huge", "value-tiny", "table-tiny", "table-huge",
-        "value-huge-no-limit", "value-padded-huge", "table-padded-tiny"])
+        "value-huge-no-limit", "value-huge-raised-limit", "value-padded-huge",
+        "table-padded-tiny"])
 def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
                                                        argv, where, limit):
     _refuse_builds(monkeypatch)
@@ -974,9 +975,10 @@ def test_a_huge_decimal_exponent_is_refused_when_exact(monkeypatch, capsys,
     prefix = "error: %s: values up to n = 3 would have over " % where
     assert captured.err.startswith(prefix)
     assert int(captured.err[len(prefix):].split()[0]) > 99999999 - len(where)
+    default = sys.int_info.default_max_str_digits
     assert captured.err.endswith(" digits, past the %d that Python prints\n"
-                                 % ((old if limit is None else limit)
-                                    or sys.int_info.default_max_str_digits))
+                                 % min((old if limit is None else limit)
+                                       or default, default))
     assert captured.out == ""
 
 
@@ -1004,7 +1006,7 @@ def _decided_as_a_float(capsys, argv, flag, huge, tiny):
     assert _timed_main(argv + [flag, huge]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: %s %s is past the float range\n" % (
-        flag, _shown(huge))
+        flag, huge)
     assert captured.out == ""
     code, out = run_cli(capsys, *argv, "%s=-1e-330" % flag)
     assert (_timed_main(argv + ["%s=%s" % (flag, tiny)]),
@@ -1025,69 +1027,85 @@ def test_a_padded_huge_decimal_exponent_is_decided_as_a_float(capsys, argv,
     _decided_as_a_float(capsys, argv, flag, PADDED_HUGE, PADDED_TINY)
 
 
-# more digits than int() reads at Python's default limit of 4,300
-LONG = "0." + "1" * 4400
-
-
-def test_a_decimal_past_int_digits_rounds_as_its_float(capsys):
-    argv = VALUE_ARGS + ["--n", "1", "--q", "0.5", "--rho"]
-    code, out = run_cli(capsys, *argv, LONG)
-    assert (code, out) == run_cli(capsys, *argv, repr(float(LONG)))
-    assert json.loads(out)["vars"]["rho"] == float(LONG)
-
-
-def test_an_exact_decimal_past_int_digits_meets_the_size_rule(
-        monkeypatch, capsys):
-    argv = VALUE_ARGS + ["--n", "1", "--at-q1", "--rho"]
-    # its exact value is short: it prints as 1/2 does
-    assert run_cli(capsys, *argv, "0.5" + "0" * 4400) == run_cli(
-        capsys, *argv, "1/2")
-    _refuse_builds(monkeypatch)
-    assert main(argv + [LONG]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: --rho %s...: values up to n = 1 would have about 8807 "
-        "digits, past the %d that Python prints\n"
-        % (LONG[:40], sys.get_int_max_str_digits()))
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("mode", ["--at-q1", "--q=0.5"])
-def test_a_fraction_past_int_digits_reads_as_its_value(capsys, mode):
-    argv = VALUE_ARGS + ["--n", "1", mode, "--rho"]
-    long_third = "1" + "0" * 4400 + "/3" + "0" * 4400
-    assert run_cli(capsys, *argv, long_third) == run_cli(capsys, *argv, "1/3")
-
-
-@pytest.mark.parametrize("mode", ["--at-q1", "--q=0.5"])
-@pytest.mark.parametrize("text", ["_1", "1__0", "1e5_", "1/_3", LONG + "_"],
-                         ids=["lead", "double", "exponent", "denominator",
-                              "past-int-digits"])
+@pytest.mark.parametrize("text", ["_1", "1__0", "1e5_", "1/_3"],
+                         ids=["lead", "double", "exponent", "denominator"])
 def test_a_text_that_fraction_refuses_is_refused_past_int_digits(
         monkeypatch, capsys, mode, text):
-    # Decimal reads each of these, but none is in the form Fraction reads
+    # none is in the form Fraction reads; a text long enough to be past
+    # int()'s digits is past POINT_LIMIT, refused unread
     _refuse_builds(monkeypatch)
     assert main(VALUE_ARGS + ["--n", "1", mode, "--rho", text]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --rho %s is not a fraction or decimal\n" % (
-        _shown(text))
+        text)
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode, text, why", [
-    ("--at-q1", "abc" * 2000, "is not a fraction or decimal"),
-    ("--q=0.5", "1" * 5000 + "e400", "is past the float range"),
-    ("--at-q1", "1/0" + " " * 5000, "has a zero denominator"),
-    ("--q=0.5", "1/" + "0" * 5000, "has a zero denominator"),
+    ("--at-q1", "abc" * 33, "is not a fraction or decimal"),
+    ("--q=0.5", "1" * 96 + "e400", "is past the float range"),
+    ("--at-q1", "1/0" + " " * 97, "has a zero denominator"),
+    ("--q=0.5", "1/" + "0" * 98, "has a zero denominator"),
 ], ids=["not-a-number", "past-the-float-range", "zero-denominator",
-        "zero-denominator-past-int-digits"])
-def test_a_refusal_echoes_a_short_prefix_of_the_point(monkeypatch, capsys,
-                                                      mode, text, why):
+        "zero-denominator-long"])
+def test_a_refusal_echoes_the_point_in_full(monkeypatch, capsys, mode, text,
+                                            why):
+    # each text has 99 or 100 characters, at most POINT_LIMIT
     _refuse_builds(monkeypatch)
     assert main(VALUE_ARGS + ["--n", "1", mode, "--rho", text]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --rho %s... %s\n" % (text[:40], why)
+    assert captured.err == "error: --rho %s %s\n" % (text, why)
     assert captured.out == ""
+
+
+def _outcome(capsys, argv, text):
+    """(exit code, stdout, stderr with the point's text and a digit count
+    named), from a run that must take under 0.5 s."""
+    code = _timed_main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, re.sub(r"over \d+ digits", "over N digits",
+                                      captured.err.replace(text, "POINT"))
+
+
+@pytest.mark.parametrize("argv", [
+    VALUE_ARGS + ["--n", "3", "--at-q1"], VALUE_ARGS + ["--n", "3", "--q=0.5"],
+    TABLE_ARGS + ["--at-q1"], TABLE_ARGS + ["--q=0.5"], ORACLE_ARGS],
+    ids=["value-at-q1", "value-q", "table-at-q1", "table-q", "oracle-q"])
+@pytest.mark.parametrize("flag", ["--rho", "--z"])
+def test_a_point_is_read_up_to_its_length_bound(monkeypatch, capsys, argv,
+                                                flag):
+    # a padded exponent of POINT_LIMIT characters is cut like its short form
+    for short, padded in ((HUGE, PADDED_HUGE), (TINY, PADDED_TINY)):
+        assert len(padded) == cli.POINT_LIMIT
+        assert _outcome(capsys, argv + ["%s=%s" % (flag, padded)], padded) \
+            == _outcome(capsys, argv + ["%s=%s" % (flag, short)], short)
+    # one more character is refused unread, naming the flag and the bound
+    _refuse_builds(monkeypatch)
+    assert _timed_main(argv + ["%s=%s" % (flag, PADDED_HUGE + "0")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: %s has 101 characters, past the 100 a "
+                            "point may have\n" % flag)
+    assert captured.out == ""
+
+
+def test_an_underscored_cut_exponent_is_read_as_fraction_reads_it(capsys):
+    # the cut text has no "_", so the point's own text is checked against
+    # Fraction's form: Python 3.10's Fraction reads no underscores
+    try:
+        F("-1e-1_1_1")
+        refused = False
+    except ValueError:
+        refused = True
+    argv = VALUE_ARGS + ["--n", "1", "--q", "0.5", "--rho=-1e-99_999_999"]
+    code = _timed_main(argv)
+    captured = capsys.readouterr()
+    if refused:
+        assert (code, captured.out, captured.err) == (2, "", (
+            "error: --rho -1e-99_999_999 is not a fraction or decimal\n"))
+    else:
+        assert code == 0
+        assert str(json.loads(captured.out)["vars"]["rho"]) == "-0.0"
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,9 @@ OWN_LINE = re.compile(r"(error|verify): ")
 
 HOSTILE = ["1e99999999", "-1e99999999", "1e-99999999", "-1e-99999999",
            "0e99999999", "1e9_999_999", "1e400", "-1e-330", "1e5000", "1/0",
-           "nan", "-inf", "-0", "0", "abc", "1/2e3", "", " 2 "]
+           "nan", "-inf", "-0", "0", "abc", "1/2e3", "", " 2 ",
+           # either side of the 100-character bound
+           "1e" + "0" * 90 + "99999999", "1e" + "0" * 91 + "99999999"]
 POINTS = st.one_of(
     st.sampled_from(HOSTILE),
     st.fractions(min_value=-3, max_value=3, max_denominator=7).map(str),

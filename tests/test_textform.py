@@ -59,10 +59,10 @@ def test_param_poly_format_ordering():
 
 
 def test_parse_rejects_garbage():
-    # garbage coefficients, and a negative q-exponent, which once indexed
-    # the coefficients from the end
+    # garbage coefficients, decimals (a coefficient is an int or a/b), and
+    # a negative q-exponent, which once indexed the coefficients from the end
     for text in ("1 + frog", "1 + 2*q^-1", "1*q^-1", "abc", "", "0x10",
-                 "1__0"):
+                 "1__0", "3.0", "1e3", "1/2/3", "1/", "/2"):
         with pytest.raises(ValueError):
             parse_qpoly(text)
     for text in ("(1 + 2*q^-1)/(1)", "(1/(1)", "(1)/(1)*x^2",
@@ -73,10 +73,9 @@ def test_parse_rejects_garbage():
 
 
 @pytest.mark.parametrize("text", [
-    "3", "+3", " 3", "-0", "1_0", "3.0", "1e3", "1/2", "\uff13", "-7*q^2"])
+    "3", "+3", " 3", "-0", "1_0", "1/2", "\uff13", "-7*q^2"])
 def test_parse_reads_coefficients_as_fraction_does(text):
-    # int() reads the integers, Fraction() the rest; together they accept
-    # exactly what Fraction(str) alone accepts
+    # int() reads the integers, and a fraction as two ints around "/"
     coeff, _, power = text.partition("*q^")
     want = QPoly([0] * int(power or 0) + [F(coeff)])
     got = parse_qpoly(text)
@@ -86,12 +85,11 @@ def test_parse_reads_coefficients_as_fraction_does(text):
 
 @pytest.mark.parametrize("text", ["(1e99999999)/(1)", "(1)/(1e-99999999)"])
 def test_parse_refuses_a_huge_decimal_exponent_at_once(text):
-    # Fraction(text) would build 10^99999999 first, which takes minutes
+    # read as Fraction(text) reads it, 10^99999999 would be built first
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="exponent too large"):
+    with pytest.raises(ValueError, match="invalid literal for int"):
         parse_param_poly(text)
     assert time.perf_counter() - start < 0.5
-    assert parse_qpoly("1e3") == QPoly([1000])
 
 
 def test_parse_accepts_non_canonical_input():
