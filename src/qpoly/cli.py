@@ -27,12 +27,10 @@ from .textform import format_param_poly, latex_param_poly
 __all__ = ["DEFAULT_CONFIG", "load_config", "main"]
 
 DEFAULT_CONFIG = {
-    "series_order": 12,      # order of the generating-function sweep
+    "nmax": 12,              # n bound for the gf and identity sweeps
     "oracle_truncation": OracleConfig._field_defaults["truncation"],
     "tolerance": OracleConfig._field_defaults["tolerance"],
     "k_range": (-2, 3),      # inclusive sweep bounds
-    "nmax_identities": 10,
-    "nmax_mixed": 8,
     "nmax_oracle": 5,
 }
 
@@ -157,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--scope", choices=("gf", "identities", "oracle", "all"),
                    default="all")
     r.add_argument("--nmax", type=int, default=None,
-                   help="cap for the gf and identity sweeps")
+                   help="n bound for the gf and identity sweeps; default "
+                        "the config's nmax, %d" % DEFAULT_CONFIG["nmax"])
     r.add_argument("--k", default=None,
                    help="k sweep as 'lo,hi' (inclusive) or a single value")
     r.add_argument("--q", type=float, default=None,
@@ -356,10 +355,8 @@ def _verify_oracle(nmax: int, configs: Sequence[OracleConfig]) -> list[dict]:
 
 def _cmd_verify(args, out) -> int:
     cfg = _get_config(args)
-    nmax_gf, nmax_ids = cfg["series_order"], cfg["nmax_identities"]
-    if args.nmax is not None:
-        _check_bounds("--nmax", 0, N_LIMIT, args.nmax)
-        nmax_gf = nmax_ids = args.nmax
+    nmax = cfg["nmax"] if args.nmax is None else args.nmax
+    _check_bounds("--nmax", 0, N_LIMIT, nmax)
     if args.k is None:
         lo, hi = cfg["k_range"]
     else:
@@ -377,19 +374,14 @@ def _cmd_verify(args, out) -> int:
     if args.scope in ("gf", "all"):
         # a passing gf record has no witness key
         records.extend({key: v for key, v in report_record(r).items()
-                        if v is not None} for r in run_gf_sweep(nmax_gf, ks))
+                        if v is not None} for r in run_gf_sweep(nmax, ks))
     if args.scope in ("identities", "all"):
-        records.extend(map(report_record, run_identity_sweep(
-            nmax_ids, min(cfg["nmax_mixed"], nmax_ids), ks)))
+        records.extend(map(report_record, run_identity_sweep(nmax, nmax, ks)))
     if args.scope in ("oracle", "all"):
         records.extend(_verify_oracle(cfg["nmax_oracle"], oracle_configs))
     failed = [r for r in records if r["status"] != "verified"]
     for rec in records:
         out.write(json.dumps(rec) + "\n")
-    if (args.scope in ("identities", "all")
-            and (args.nmax or 0) > cfg["nmax_mixed"]):
-        sys.stderr.write("verify: T7 checked up to n = %d (nmax_mixed)\n"
-                         % cfg["nmax_mixed"])
     if failed:
         sys.stderr.write("verify: %d of %d checks failed; first: %s\n"
                          % (len(failed), len(records), json.dumps(failed[0])))

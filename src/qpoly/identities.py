@@ -253,9 +253,8 @@ def _mixed_t(n: int) -> tuple:
     return tuple(out)
 
 
-def run_identity_sweep(nmax: int = 10, nmax_mixed: int = 8,
-                       k_values: Sequence[int] = range(-2, 4)
-                       ) -> list[IdentityReport]:
+def run_identity_sweep(nmax: int, nmax_mixed: int,
+                       k_values: Sequence[int]) -> list[IdentityReport]:
     """Run the whole catalogue and return reports sorted by
     (identity_id, n, k)."""
     reports: list[IdentityReport] = []

@@ -55,12 +55,17 @@ def parse_qpoly(text: str) -> QPoly:
     out: list[int | Fraction] = []
     for part in text.strip().split(" + "):
         c, sep, e = part.partition("*q^")
-        exponent = int(e) if sep else 0
         try:
-            c = int(c)
-        except ValueError:      # "a/b", as format_qpoly writes a Fraction
-            num, _, den = c.partition("/")
-            c = Fraction(int(num), int(den))
+            exponent = int(e) if sep else 0
+            try:
+                c = int(c)
+            except ValueError:  # "a/b", as format_qpoly writes a Fraction
+                num, _, den = c.partition("/")
+                c = Fraction(int(num), int(den))
+        except ValueError as exc:
+            raise ValueError("term %r is not c or c*q^e, with c an int or two "
+                             "ints around '/' and e an int: %s"
+                             % (part, exc)) from None
         if exponent == len(out):    # as canonical text has it
             out.append(c)
         elif exponent < 0:

@@ -207,17 +207,17 @@ def test_verify_stdout_is_pinned(capsys, scope):
     assert (digest, out.count("\n")) == PINNED_VERIFY[scope]
 
 
-# the same at full scale, the configured defaults: series order 12, n <= 10
-# (mixed n <= 8) for the identities, k in -2..3; and the gf rows at order
-# 30, 2.5 times the default
+# the same at full scale, the configured defaults: n <= 12 for the gf and
+# identity sweeps, k in -2..3; and the gf rows at order 30, 2.5 times the
+# default
 PINNED_VERIFY_FULL = {
     "gf": (["--scope", "gf"],
            "da4ab9be7e0f0d1f4f73a1564f05f78f626b71c68f10eafe674ef0ba0c1edd58",
            234),
     "identities": (
         ["--scope", "identities"],
-        "fa148fee1242d64b5e41140f5f4de4f910d4360b18de82c96dc4e050e64167f4",
-        556),
+        "292b2d07271044956001ba48357f13b9119d6e301d62d0ed09fc6a207d543bfe",
+        716),
     "gf-order-30": (
         ["--scope", "gf", "--nmax", "30", "--k=-1,1"],
         "3619c0d020b670e8637c0271ce0e6d230408e96f5611c3aec32c39a22ce997bb",
@@ -234,11 +234,25 @@ def test_full_verify_stdout_is_pinned(capsys, run):
             out.count("\n")) == (digest, lines)
 
 
+def test_the_identity_records_below_the_old_bounds_are_unmoved(capsys):
+    # the default identity scope once stopped at n = 10, and T7 at n = 8;
+    # its records below those bounds are the old output byte for byte
+    code, out = run_cli(capsys, "verify", "--scope", "identities")
+    assert code == 0
+    kept = [line for line in out.splitlines(keepends=True)
+            if json.loads(line)["n"]
+            <= (8 if line.startswith('{"identity": "T7') else 10)]
+    assert (hashlib.sha256("".join(kept).encode("utf-8")).hexdigest(),
+            len(kept)) == (
+        "fa148fee1242d64b5e41140f5f4de4f910d4360b18de82c96dc4e050e64167f4",
+        556)
+
+
 def test_a_planted_closed_form_fault_fails_the_same_records(
         monkeypatch, capsys, fresh_caches):
     # S1(6, 3, x) with its constant coefficient bumped by 1, read by the
     # closed forms alone: the gf route and the identities' own weights keep
-    # the true table, so 90 records fail across the Cauchy-type gf matches,
+    # the true table, so 102 records fail across the Cauchy-type gf matches,
     # T5_202/203, T6 and T7_1-4; the whole stdout, witnesses included, is
     # pinned
     bump_weight(monkeypatch, families, 6, 3, second=False)
@@ -246,13 +260,13 @@ def test_a_planted_closed_form_fault_fails_the_same_records(
     assert code == 1
     failed = [json.loads(line) for line in out.splitlines()
               if json.loads(line)["status"] == "failed"]
-    assert len(failed) == 90
+    assert len(failed) == 102
     assert {r["identity"] for r in failed} == {
         "GF_polyCauchy1", "GF_polyCauchy2", "T5_202", "T5_203", "T6_301",
         "T6_302", "T7_1", "T7_2", "T7_3", "T7_4"}
-    assert len(out.encode()) == 77684
+    assert len(out.encode()) == 87490
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b3528fbb05ff05c1db1fdaba97038469d774c370c6d20192e14727507e903e01")
+        "98054a876063ae870371492e3d30b31aec78c867c22dfa6a0b78eef55af6b897")
 
 
 def test_verify_gf_works_in_the_t_basis(monkeypatch, capsys):
@@ -467,25 +481,18 @@ def test_verify_identities_scope(capsys):
     assert recs and all(r["status"] == "verified" for r in recs)
 
 
-def test_verify_says_when_nmax_leaves_t7_behind(capsys):
-    # --nmax raises the identity bound but not nmax_mixed (8), so T7 stops
-    # short of it; one stderr line says so, and stdout carries no note
-    code = main(["verify", "--scope", "identities", "--nmax", "9",
+def test_verify_nmax_bounds_t7_with_the_other_identities(capsys):
+    # one n bound for every exact scope: T7 reaches --nmax as the rest do,
+    # and stderr holds only the summary line
+    code = main(["verify", "--scope", "identities", "--nmax", "10",
                  "--k", "0"])
     captured = capsys.readouterr()
     assert code == 0
     recs = [json.loads(line) for line in captured.out.splitlines()]
-    assert max(r["n"] for r in recs if r["identity"].startswith("T7")) == 8
-    assert captured.err.splitlines() == [
-        "verify: T7 checked up to n = 8 (nmax_mixed)",
-        "verify: %d checks passed" % len(recs)]
-    # no note at the defaults, at --nmax 8, or outside the identity scope
-    for argv in (["verify", "--scope", "identities"],
-                 ["verify", "--scope", "identities", "--nmax", "8",
-                  "--k", "0"],
-                 ["verify", "--scope", "gf", "--nmax", "9", "--k", "0"]):
-        assert main(argv) == 0
-        assert "T7" not in capsys.readouterr().err
+    assert {r["n"] for r in recs if r["identity"].startswith("T7")} \
+        == set(range(11))
+    assert max(r["n"] for r in recs) == 10
+    assert captured.err == "verify: %d checks passed\n" % len(recs)
 
 
 def test_verify_gf_scope_deterministic(capsys):
@@ -579,7 +586,7 @@ def test_oracle_takes_any_depth_from_one(capsys):
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
-    cfg.write_text("# sweep size\nseries_order = 5\nk_range = 0,1\n")
+    cfg.write_text("# sweep size\nnmax = 5\nk_range = 0,1\n")
     code, out = run_cli(capsys, "verify", "--scope", "gf",
                         "--config", str(cfg))
     assert code == 0
@@ -597,7 +604,7 @@ def test_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path,
         for end in (b"\n", b"\r\n", b"\r"):
             cfg = tmp_path / "qpoly.cfg"
             cfg.write_bytes(bom + end.join([b"# caf\xc3\xa9",
-                                            b"series_order = 4", b""]))
+                                            b"nmax = 4", b""]))
             code, out = run_cli(capsys, "verify", "--scope", "gf",
                                 "--config", str(cfg))
             assert code == 0
@@ -612,8 +619,8 @@ def test_a_config_that_is_not_utf8_names_its_path_and_line(
     _refuse_builds(monkeypatch)
     cfg = tmp_path / "bad.cfg"
     # a BOM is still skipped, and a CR alone still ends a line
-    for data, lineno in [(b"series_order = 4 # caf\xe9\n", 1),
-                         (b"\xef\xbb\xbfk_range = 0,1\rseries_order = \xff\r",
+    for data, lineno in [(b"nmax = 4 # caf\xe9\n", 1),
+                         (b"\xef\xbb\xbfk_range = 0,1\rnmax = \xff\r",
                           2)]:
         cfg.write_bytes(data)
         assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
@@ -624,9 +631,21 @@ def test_a_config_that_is_not_utf8_names_its_path_and_line(
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
-    cfg.write_text("series_order = 5\nnope = 1\n")
+    cfg.write_text("nmax = 5\nnope = 1\n")
     code = main(["verify", "--scope", "gf", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["series_order", "nmax_identities",
+                                 "nmax_mixed"])
+def test_a_config_naming_a_retired_n_bound_is_refused(tmp_path, capsys, key):
+    # the three n bounds became the one key nmax
+    cfg = tmp_path / "qpoly.cfg"
+    cfg.write_text("nmax = 5\n%s = 5\n" % key)
+    assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s:2: unknown key %r\n" % (cfg, key)
+    assert captured.out == ""
 
 
 def test_bad_k_range_is_usage_error(capsys):
@@ -709,7 +728,7 @@ def _refuse_builds(monkeypatch):
 
 def test_config_sizes_beyond_the_limit_are_refused(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
-    cfg.write_text("series_order = %d\n" % (cli.N_LIMIT + 1))
+    cfg.write_text("nmax = %d\n" % (cli.N_LIMIT + 1))
     assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -772,8 +791,8 @@ def test_a_bad_oracle_config_is_refused_before_any_build(
              "oracle_truncation must lie in 1..%d, got 0"
              % cli.TRUNCATION_LIMIT),
             ("tolerance = inf", "tolerance must be positive and finite"),
-            ("series_order = %d" % (cli.N_LIMIT + 1),
-             "series_order must lie in 0..%d, got %d"
+            ("nmax = %d" % (cli.N_LIMIT + 1),
+             "nmax must lie in 0..%d, got %d"
              % (cli.N_LIMIT, cli.N_LIMIT + 1))]:
         cfg.write_text("# comment\n%s\n" % line)
         assert main(["verify", "--scope", scope, "--config", str(cfg)]) == 2
@@ -1122,7 +1141,7 @@ def test_a_bad_q_names_its_flag(monkeypatch, capsys, argv, q):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("line", ["series_order = abc", "k_range = 1,x",
+@pytest.mark.parametrize("line", ["nmax = abc", "k_range = 1,x",
                                   "k_range = 3,1", "tolerance = tiny",
                                   "nmax_oracle = 2.5"])
 def test_a_bad_config_value_names_its_line_and_key(
@@ -1170,7 +1189,7 @@ def test_the_truncation_cap_itself_is_accepted(tmp_path, capsys):
 
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "qpoly.cfg"
-    cfg.write_text("series_order 5\n")
+    cfg.write_text("nmax 5\n")
     assert main(["verify", "--scope", "gf", "--config", str(cfg)]) == 2
     assert "expected key = value" in capsys.readouterr().err
 

@@ -296,14 +296,14 @@ def test_a_cold_identity_sweep_builds_no_weighted_stirling(monkeypatch,
         return true_weighted(*args, **kwargs)
 
     monkeypatch.setattr(stirling, "_weighted", counted)
-    reports = run_identity_sweep()
+    reports = run_identity_sweep(10, 8, range(-2, 4))
     assert {r.status for r in reports} == {"verified"}
     assert calls == []
 
 
 def test_a_planted_stirling_fault_fails_the_same_records_at_scale(
         monkeypatch, capsys, fresh_caches):
-    # S1(6, 3, x) with its constant coefficient bumped by 1 fails 27
+    # S1(6, 3, x) with its constant coefficient bumped by 1 fails 39
     # records across ORTHO_1, ORTHO_2, T5_201, T7_3 and T7_4; the whole
     # stdout, witnesses included, is pinned
     bump_weight(monkeypatch, identities, 6, 3, second=False)
@@ -313,12 +313,12 @@ def test_a_planted_stirling_fault_fails_the_same_records_at_scale(
     assert code == 1
     failed = [json.loads(line) for line in out.splitlines()
               if json.loads(line)["status"] == "failed"]
-    assert len(failed) == 27
+    assert len(failed) == 39
     assert {r["identity"] for r in failed} == {
         "ORTHO_1", "ORTHO_2", "T5_201", "T7_3", "T7_4"}
-    assert len(out.encode()) == 31905
+    assert len(out.encode()) == 47115
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9338b8ea3b35f0e0e02fed717589ab00f3f3840ac88064c3368f7c433eed34c9")
+        "eb28675523fece661768fe71ff0653683d64f82ac86a95866788a9566d7caf7b")
 
 
 def test_a_gf_row_of_the_wrong_length_is_refused(monkeypatch, fresh_caches):

@@ -72,6 +72,18 @@ def test_parse_rejects_garbage():
             parse_param_poly(text)
 
 
+@pytest.mark.parametrize("text, term", [
+    ("1/", "'1/'"), ("/2", "'/2'"), ("1 + 1*q^", "'1*q^'"),
+    ("(2)/(1 + 1/)", "'1/'")])
+def test_a_bad_term_is_refused_by_name_with_the_grammar(text, term):
+    # int()'s own message is kept after the term and the grammar
+    with pytest.raises(ValueError) as exc:
+        (parse_param_poly if text.startswith("(") else parse_qpoly)(text)
+    assert str(exc.value) == (
+        "term %s is not c or c*q^e, with c an int or two ints around '/' "
+        "and e an int: invalid literal for int() with base 10: ''" % term)
+
+
 @pytest.mark.parametrize("text", [
     "3", "+3", " 3", "-0", "1_0", "1/2", "\uff13", "-7*q^2"])
 def test_parse_reads_coefficients_as_fraction_does(text):
